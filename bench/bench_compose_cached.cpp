@@ -3,8 +3,9 @@
 // composition price on READS too; Replicated<Obj, N, Model>
 // (core/caching.hpp) serves read-only-classified operations from
 // versioned per-replica snapshots — no shared write, no RMW — while
-// writes still walk the wrapped Combining object and invalidate via
-// one generation bump at their serialization point. This scenario
+// writes still walk the wrapped Combining object and invalidate per
+// key: one bump of the written key's generation slot at their
+// serialization point, so other keys keep hitting. This scenario
 // measures what that buys and what it costs, sweeping
 //
 //   read fraction in {0.5, 0.95, 0.99}  x  zipf skew in {0, 0.99}
@@ -19,9 +20,10 @@
 // Self-checks (scale-robust, gating): a solo caller's cached results
 // are bit-identical to the same op sequence against an uncached
 // object (hits included — the probe rereads written keys); every
-// write bumps the invalidation generation exactly once, and a written
-// key is never visible on any replica with a pre-write value once the
-// writer returned; no committed read ever returns a torn value (key
+// write counts exactly one invalidation (one bump of its key's
+// generation slot), and a written key is never visible on any replica
+// with a pre-write value once the writer returned; no committed read
+// ever returns a torn value (key
 // decode mismatch). The read-scaling claim (read-slice ns flat within
 // 2x from t=1 to t=max at read fraction 0.95) additionally gates only
 // on hardware with >= 8 cores driven with >= 8 threads — below that
@@ -183,9 +185,9 @@ void run_cell(const BenchParams& params, double read_frac, double theta,
       });
   torn += bad.load(std::memory_order_relaxed);
 
-  // Every write — and nothing else — bumped the invalidation
-  // generation exactly once at its serialization point (the kKeys
-  // pre-population writes included).
+  // Every write — and nothing else — counted exactly one invalidation
+  // at its serialization point (the kKeys pre-population writes
+  // included).
   if (cached.invalidations() !=
       writes_issued.load(std::memory_order_relaxed) + kKeys) {
     ++invalidation_gaps;
@@ -334,9 +336,10 @@ ScenarioResult run(const BenchParams& params) {
 
   result.claim =
       "cached results are bit-identical to uncached for a solo caller "
-      "(hit path exercised); every write bumps the invalidation "
-      "generation exactly once and no replica serves a pre-write value "
-      "after the writer returned; no committed read is torn (every "
+      "(hit path exercised); every write counts exactly one "
+      "invalidation, a bump of its key's generation slot, and no replica "
+      "serves a pre-write value of that key after the writer returned; "
+      "no committed read is torn (every "
       "value decodes to its key); read hits complete as ready tickets; "
       "on >=8-core hardware at read fraction 0.95 the read slice stays "
       "within 2x from t=1 to t=max";

@@ -3,10 +3,12 @@
 //
 // The paper's per-operation costs (extra RMWs and steps per layer
 // crossed) are unavoidable for operations that MUTATE the composed
-// object; a read against a cached snapshot is a relaxed load plus a
-// version check. Replicated<Obj, N, Model> keeps N cacheline-padded
-// replica tables of {key, value, generation} entries, each entry
-// guarded by a seqlock-style version word:
+// object; a read against a cached snapshot is a few relaxed loads plus
+// a generation check. Replicated<Obj, N, Model> keeps N cacheline-
+// padded replica tables of {key, value, generation} entries, each
+// entry guarded by a seqlock-style version word, plus ONE table of
+// generations shared by every replica and indexed by the key's hash
+// slot:
 //
 //   * reads classified read-only by the Model are served from the
 //     caller's replica via a version-checked snapshot — no shared
@@ -16,29 +18,38 @@
 //   * writes are funneled unchanged through the wrapped object's
 //     submit() path (Combining's publication slots), and the
 //     operation's completion callback performs invalidation + refill:
-//     bump the global generation (one fetch_add — every replica's
-//     stale entries miss from that point on, O(1) invalidation), then
-//     reinstall the written key odd→apply→even under the entry's
-//     seqlock;
+//     bump the written key's slot generation (one fetch_add — every
+//     replica's entries for the keys of that slot miss from that point
+//     on, every other key keeps hitting), then reinstall the written
+//     key odd→apply→even under the entry's seqlock;
 //   * a cache-miss fill is just the read submitted through the object
 //     with a fill callback — against a slow backend the ticket simply
-//     completes late, exactly PR 5's "the caching layer must consume
-//     Ticket<R>s" instruction.
+//     completes late; the cache consumes Ticket<R>s like any client.
+//
+// Each replica table is set-associative: a key maps to one bucket of
+// up to kWays ways (kEntries / kWays buckets), so keys that share a
+// bucket coexist instead of evicting each other. A reader scans the
+// bucket's key tags (one cache line) for its key, then snapshots that
+// way; an installer reuses the key's way, else an empty way, else a
+// way whose generation is stale, else a fixed per-key victim.
 //
 // Correctness (linearizable mode, staleness bound 0): a hit requires
-// the entry's generation to EQUAL the global generation loaded at the
+// the entry's generation to EQUAL its slot's generation loaded at the
 // start of the read — the read's linearization point. The wrapped
 // object's completion callbacks fire at each operation's serialization
 // point (Combining runs them under the election lock on every path),
-// so generations are assigned in linearization order: an entry
-// matching the current generation holds exactly the value the object
-// would return, and every committed write bumps the generation before
-// its publisher can return, so no later read can hit a pre-write
-// entry. Mixed histories are pinned by lincheck in caching_test.
-// Raising the staleness bound k admits snapshots up to k generations
-// old (the Perrin et al. trade: replicas may serve slightly stale
-// snapshots where the spec allows it); the entry seqlock still makes
-// torn values impossible at every bound.
+// so a key's generations are assigned in its linearization order: an
+// entry matching its slot's current generation holds exactly the value
+// the object would return, and every committed write bumps its key's
+// slot before its publisher can return, so no later read of that key
+// can hit a pre-write entry. Linearizability is local (it composes
+// per object), so the per-key argument is the whole argument; keys
+// sharing a slot only share invalidations, a conservative miss. Mixed
+// histories are pinned by lincheck in caching_test. Raising the
+// staleness bound k admits snapshots up to k writes to the key's
+// generation slot old (the Perrin et al. trade: replicas may serve
+// slightly stale snapshots where the spec allows it); the entry
+// seqlock still makes torn values impossible at every bound.
 //
 // Backend requirements: in linearizable mode the wrapped object must
 // run completion callbacks at the serialization point (Combining, or
@@ -179,13 +190,12 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   [[nodiscard]] std::optional<Response> read_at(std::size_t replica,
                                                 std::uint64_t key) {
     SCM_CHECK(replica < kReplicas);
-    return snapshot(replicas_[replica], key,
-                    version_.value.load(std::memory_order_seq_cst));
+    return snapshot(replicas_[replica], key, generation_of(key));
   }
 
   // Staleness bound in generations: 0 (the default) is linearizable —
-  // a hit must match the current generation exactly; k admits
-  // snapshots at most k committed writes old.
+  // a hit must match its slot's current generation exactly; k admits
+  // snapshots at most k writes to the key's generation slot old.
   void set_staleness_bound(std::uint64_t k) noexcept {
     staleness_bound_.store(k, std::memory_order_relaxed);
   }
@@ -193,13 +203,10 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return staleness_bound_.load(std::memory_order_relaxed);
   }
 
-  // The global generation: one bump per completed write — equal to the
-  // number of invalidations performed.
-  [[nodiscard]] std::uint64_t version() const noexcept {
-    return version_.value.load(std::memory_order_relaxed);
-  }
+  // One per completed write (the pool-exhaustion fallback included),
+  // however many generation slots the write bumped.
   [[nodiscard]] std::uint64_t invalidations() const noexcept {
-    return version();
+    return invalidations_.value.load(std::memory_order_relaxed);
   }
 
   // ---- cache telemetry (relaxed, aggregated over replicas).
@@ -254,8 +261,8 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return obj_.value.commits_by(pid, i);
   }
 
-  // Replication adds only registers (the seqlock words and the global
-  // generation), so the composition's consensus power is the wrapped
+  // Replication adds only registers (the seqlock words and the slot
+  // generations), so the composition's consensus power is the wrapped
   // object's.
   [[nodiscard]] int consensus_number() const
     requires requires(const Obj& o) { o.consensus_number(); }
@@ -264,23 +271,37 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   }
 
  private:
-  // One direct-mapped cache entry. The seqlock protocol: installers
-  // CAS the version word even→odd (mutual exclusion between
-  // installers; a loser skips its install — refills are best-effort),
-  // write the fields, then release-store even+2. Readers snapshot the
-  // word, read the fields, and re-check the word: any concurrent
-  // install is detected and the read becomes a miss. Fields are
-  // relaxed atomics, not plain loads — a reader may race an installer
-  // by design, and the seqlock re-check is what discards those reads.
-  struct Entry {
+  // Associativity, derived from kEntries: 8 key tags fill one cache
+  // line, so a bucket's tag scan is one line however full it is.
+  static constexpr std::size_t kWays = kEntries < 8 ? kEntries : 8;
+  static constexpr std::size_t kBuckets = (kEntries + kWays - 1) / kWays;
+
+  // One cache way. The seqlock protocol: installers CAS the version
+  // word even→odd (mutual exclusion between installers; a loser skips
+  // its install — refills are best-effort), write the fields and the
+  // way's key tag, then release-store even+2. Readers snapshot the
+  // word, read the fields and the tag, and re-check the word: any
+  // concurrent install is detected and the read becomes a miss. Fields
+  // are relaxed atomics, not plain loads — a reader may race an
+  // installer by design, and the seqlock re-check is what discards
+  // those reads. 32 bytes, so no way straddles a cache line.
+  struct alignas(32) Entry {
     std::atomic<std::uint64_t> ver{0};
-    std::atomic<std::uint64_t> key1{0};  // key + 1; 0 = empty
     std::atomic<Response> val{0};
     std::atomic<std::uint64_t> gen{0};
   };
 
+  // One set of kWays ways. The key tags sit together on the bucket's
+  // first line: a reader finds its way with one line's scan and then
+  // touches just that way.
+  struct alignas(kCacheLineSize) Bucket {
+    // key + 1; 0 = empty
+    std::array<std::atomic<std::uint64_t>, kWays> key1{};
+    std::array<Entry, kWays> ways{};
+  };
+
   struct alignas(kCacheLineSize) Replica {
-    std::array<Entry, kEntries> entries{};
+    std::array<Bucket, kBuckets> buckets{};
     // Telemetry lives with its replica: a ByThread caller bumps
     // counters on lines it already owns.
     std::atomic<std::uint64_t> hits{0};
@@ -322,24 +343,41 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return static_cast<std::uint64_t>(Model::key(m));
   }
 
+  // The key's generation slot (shared by all replicas) and its bucket
+  // (in every replica).
   [[nodiscard]] static std::size_t slot_of(std::uint64_t key) noexcept {
     return static_cast<std::size_t>(ByKeyHash::mix(key) % kEntries);
   }
+  [[nodiscard]] static std::size_t bucket_of(std::uint64_t key) noexcept {
+    return static_cast<std::size_t>(ByKeyHash::mix(key) % kBuckets);
+  }
+
+  // The key's current generation; seq_cst, as it is a hit's
+  // linearization point.
+  [[nodiscard]] std::uint64_t generation_of(std::uint64_t key) const {
+    return gens_.value[slot_of(key)].load(std::memory_order_seq_cst);
+  }
 
   // The version-checked snapshot shared by the hot read path and the
-  // read_at probe: returns the entry's value iff the seqlock snapshot
-  // is consistent, the key matches, and the tagged generation is
-  // within the staleness bound of `cur`. No counters — callers
-  // attribute hits/misses themselves.
+  // read_at probe: returns the way's value iff the key has a way in
+  // its bucket, the seqlock snapshot is consistent and still tags the
+  // key, and the tagged generation is within the staleness bound of
+  // `cur`. No counters — callers attribute hits/misses themselves.
   std::optional<Response> snapshot(Replica& rep, std::uint64_t key,
                                    std::uint64_t cur) {
-    Entry& e = rep.entries[slot_of(key)];
+    Bucket& b = rep.buckets[bucket_of(key)];
+    std::size_t w = 0;
+    while (w < kWays && b.key1[w].load(std::memory_order_relaxed) != key + 1) {
+      ++w;
+    }
+    if (w == kWays) return std::nullopt;
+    Entry& e = b.ways[w];
     const std::uint64_t v1 = e.ver.load(std::memory_order_acquire);
     if ((v1 & 1) != 0) {
       rep.torn.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
-    const std::uint64_t k1 = e.key1.load(std::memory_order_relaxed);
+    const std::uint64_t k1 = b.key1[w].load(std::memory_order_relaxed);
     const Response val = e.val.load(std::memory_order_relaxed);
     const std::uint64_t g = e.gen.load(std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_acquire);
@@ -358,15 +396,15 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return val;
   }
 
-  // The hot read path: one seq_cst generation load (the linearization
-  // point of a hit) plus the entry snapshot. Counted as two reads —
-  // the generation and the entry are the operation's real shared
-  // traffic; the RMW-free path is the whole point.
+  // The hot read path: one seq_cst load of the key's slot generation
+  // (the linearization point of a hit) plus the way snapshot. Counted
+  // as two reads — the generation and the way are the operation's real
+  // shared traffic; the RMW-free path is the whole point.
   template <class Ctx>
   std::optional<Response> try_read(Ctx& ctx, std::size_t rep,
                                    std::uint64_t key) {
     ctx.on_read();
-    const std::uint64_t cur = version_.value.load(std::memory_order_seq_cst);
+    const std::uint64_t cur = generation_of(key);
     ctx.on_read();
     Replica& r = replicas_[rep];
     const auto v = snapshot(r, key, cur);
@@ -375,21 +413,50 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
     return v;
   }
 
+  // The way an install of `key` takes: the key's own way, else an
+  // empty way, else a way whose generation is behind its slot's (it
+  // can never hit again at bound 0), else a fixed per-key victim.
+  // Tags are read outside the seqlock: a racing install can only make
+  // the choice worse (an eviction that was not needed), never wrong —
+  // the way's seqlock still excludes the racer, and readers re-check
+  // the tag inside their snapshot.
+  std::size_t way_for(const Bucket& b, std::uint64_t key) const {
+    std::size_t empty = kWays;
+    std::size_t stale = kWays;
+    for (std::size_t w = 0; w < kWays; ++w) {
+      const std::uint64_t k1 = b.key1[w].load(std::memory_order_relaxed);
+      if (k1 == key + 1) return w;
+      if (k1 == 0) {
+        if (empty == kWays) empty = w;
+      } else if (stale == kWays &&
+                 b.ways[w].gen.load(std::memory_order_relaxed) !=
+                     gens_.value[slot_of(k1 - 1)].load(
+                         std::memory_order_relaxed)) {
+        stale = w;
+      }
+    }
+    if (empty != kWays) return empty;
+    if (stale != kWays) return stale;
+    return static_cast<std::size_t>((ByKeyHash::mix(key) / kBuckets) % kWays);
+  }
+
   // Best-effort install of (key, val) tagged with generation g. The
   // even→odd CAS excludes concurrent installers (from differently-
   // locked backends, e.g. other shards of a Sharded<Combining>); a
-  // lost race abandons the install — the entry's owner wins, later
+  // lost race abandons the install — the way's owner wins, later
   // reads of our key simply miss and refill.
   void install(std::size_t rep, std::uint64_t key, Response val,
                std::uint64_t g) {
-    Entry& e = replicas_[rep].entries[slot_of(key)];
+    Bucket& b = replicas_[rep].buckets[bucket_of(key)];
+    const std::size_t w = way_for(b, key);
+    Entry& e = b.ways[w];
     std::uint64_t v = e.ver.load(std::memory_order_relaxed);
     if ((v & 1) != 0) return;
     if (!e.ver.compare_exchange_strong(v, v + 1, std::memory_order_acquire,
                                        std::memory_order_relaxed)) {
       return;
     }
-    e.key1.store(key + 1, std::memory_order_relaxed);
+    b.key1[w].store(key + 1, std::memory_order_relaxed);
     e.val.store(val, std::memory_order_relaxed);
     e.gen.store(g, std::memory_order_relaxed);
     e.ver.store(v + 2, std::memory_order_release);
@@ -399,45 +466,53 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   // ---- completion callbacks (run by the wrapped object's finalizing
   // thread at the operation's serialization point — under Combining's
   // election lock; they must not re-enter the wrapped object, and they
-  // don't: generation + entry seqlocks only).
+  // don't: generations + way seqlocks only).
 
   // A committed read's response is the object's value for that key at
-  // this serialization point; tag it with the generation as of NOW.
-  // Callbacks fire in linearization order, so every earlier write's
-  // bump is included and no later one — the tag is exact.
+  // this serialization point; tag it with the key's generation as of
+  // NOW. Callbacks fire in linearization order, so every earlier write
+  // to the key has bumped its slot and no later one has — the tag is
+  // exact.
   static void fill_cb(void* user, const ModuleResult& r) {
     auto* rec = static_cast<CacheRec*>(user);
     if (r.committed()) {
       Replicated* self = rec->self;
-      self->install(rec->replica, key_of(rec->req), r.response,
-                    self->version_.value.load(std::memory_order_seq_cst));
+      const std::uint64_t key = key_of(rec->req);
+      self->install(rec->replica, key, r.response, self->generation_of(key));
     }
     rec->release();
   }
 
-  // A write bumps the generation FIRST (from this instant every
-  // replica's pre-write entries miss), then — when the model can
-  // derive the post-write value — reinstalls the written key into the
-  // writer's replica tagged with the new generation. Aborted results
-  // bump too: a spurious invalidation is a missed hit, never an error.
+  // A write bumps its key's slot generation FIRST (from this instant
+  // every replica's pre-write entries for the slot's keys miss), then —
+  // when the model can derive the post-write value — reinstalls the
+  // written key into the writer's replica tagged with the new
+  // generation. Aborted results bump too: a spurious invalidation is a
+  // missed hit, never an error.
   static void write_cb(void* user, const ModuleResult& r) {
     auto* rec = static_cast<CacheRec*>(user);
     Replicated* self = rec->self;
-    const std::uint64_t g =
-        self->version_.value.fetch_add(1, std::memory_order_seq_cst) + 1;
+    const std::uint64_t key = key_of(rec->req);
+    std::atomic<std::uint64_t>& gen = self->gens_.value[slot_of(key)];
+    const std::uint64_t g = gen.fetch_add(1, std::memory_order_seq_cst) + 1;
+    self->invalidations_.value.fetch_add(1, std::memory_order_relaxed);
     if (r.committed()) {
       if (const auto v = Model::read_after_write(rec->req, r.response)) {
-        self->install(rec->replica, key_of(rec->req), *v, g);
+        self->install(rec->replica, key, *v, g);
       }
     }
     rec->release();
   }
 
   // Pool-exhaustion fallback for async writes: invalidate without
-  // refilling (no per-op state needed — the cookie is the cache).
+  // refilling. The cookie is the cache, so the written key is unknown:
+  // bump every slot — conservative, every key misses once.
   static void invalidate_cb(void* user, const ModuleResult&) {
-    static_cast<Replicated*>(user)->version_.value.fetch_add(
-        1, std::memory_order_seq_cst);
+    auto* self = static_cast<Replicated*>(user);
+    for (auto& g : self->gens_.value) {
+      g.fetch_add(1, std::memory_order_seq_cst);
+    }
+    self->invalidations_.value.fetch_add(1, std::memory_order_relaxed);
   }
 
   // ---- routing operations through the wrapped object. Callback-
@@ -502,7 +577,10 @@ class Replicated : public detail::ShardedConsensusBase<Obj>,
   }
 
   std::array<Replica, kReplicas> replicas_{};
-  Padded<std::atomic<std::uint64_t>> version_{};
+  // Generation per key-hash slot: read by every hit, bumped by the
+  // writes to the slot's keys.
+  Padded<std::array<std::atomic<std::uint64_t>, kEntries>> gens_{};
+  Padded<std::atomic<std::uint64_t>> invalidations_{};
   std::atomic<std::uint64_t> staleness_bound_{0};
   std::array<Padded<CacheRec>, kRecs> recs_{};
   Padded<Obj> obj_;

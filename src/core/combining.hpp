@@ -106,11 +106,6 @@ struct CombiningConsensusBase<Obj,
       std::max(Obj::kConsensusNumber, kConsensusNumberTas);
 };
 
-// The spin-wait ladder lives in support/backoff.hpp now (the shm gate
-// shares it); this name survives as an alias for its historical
-// call sites.
-inline void combining_backoff(int& spins) noexcept { spin_backoff(spins); }
-
 }  // namespace detail
 
 template <class Obj, std::size_t kSlots, class Policy = ByThread>
@@ -228,7 +223,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
           waiters_.value);
     }
     run_batch(obj_.value, ctx, batch);
-    direct_ops_.fetch_add(live, std::memory_order_relaxed);
+    bump(direct_ops_, live);
     combine(ctx);
     lock_.value.store(false, std::memory_order_release);
     waiters_.value.wake_all();
@@ -530,7 +525,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
                           void* user = nullptr) {
     const ModuleResult r = scm::apply(obj_.value, ctx, m, init);
     if (completion != nullptr) completion(user, r);
-    direct_ops_.fetch_add(1, std::memory_order_relaxed);
+    bump(direct_ops_, 1);
     combine(ctx);
     lock_.value.store(false, std::memory_order_release);
     // Uncontended cost of this wake: one fence + one relaxed load —
@@ -805,8 +800,17 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     // effects (detached callbacks included).
     pending_hint_.value.fetch_sub(static_cast<std::uint64_t>(n),
                                   std::memory_order_release);
-    rounds_.fetch_add(1, std::memory_order_relaxed);
-    batched_ops_.fetch_add(n, std::memory_order_relaxed);
+    bump(rounds_, 1);
+    bump(batched_ops_, n);
+  }
+
+  // The telemetry counters are written only by the combiner-lock
+  // holder (the lock's acquire/release orders successive holders), so
+  // a relaxed load + store counts exactly without a locked RMW.
+  static void bump(std::atomic<std::uint64_t>& counter,
+                   std::uint64_t n) noexcept {
+    counter.store(counter.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
   }
 
   std::array<Padded<Slot>, kSlots> slots_;

@@ -14,7 +14,13 @@
 //    linearize against CounterSpec in linearizable mode (bound 0);
 //  * invalidation storms: every write bumps the generation exactly
 //    once under contention, per-thread read streams stay monotone, and
-//    no read ever returns a value the counter never held.
+//    no read ever returns a value the counter never held;
+//  * per-key invalidation and set-associative tables: a write to one
+//    key leaves other keys hitting on every replica, keys that share a
+//    hash index stay resident together, and concurrent multi-key
+//    histories linearize key by key against RegisterSpec;
+//  * completion-pool exhaustion has a defined outcome: the stateless
+//    fallback still hides pre-write values, and a miss skips its fill.
 //
 // Runs under the "tsan" ctest label: the CI sanitizer job executes
 // this suite under ThreadSanitizer (the seqlock snapshot protocol is
@@ -25,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/caching.hpp"
@@ -93,6 +100,90 @@ Request inc_req(std::uint64_t id, ProcessId p) {
 
 using CachedCounter = Cached<Combining<CounterModule, 8, ByThread>,
                              CounterModel>;
+
+// Parks a write to kv_gate_key() inside the object until the gate
+// opens — the deterministic way to keep the combiner lock held while a
+// test publishes behind it. Each user resets the flags.
+std::atomic<bool> g_gate_entered{false};
+std::atomic<bool> g_gate_open{true};
+
+// A file of kKeys registers with RegisterSpec's interface per key: op
+// kWrite stores arg / kKeys under key arg % kKeys and commits kAck, op
+// kRead commits key arg % kKeys's value.
+struct KvModule {
+  static constexpr int kConsensusNumber = kConsensusNumberRegister;
+  static constexpr std::uint64_t kKeys = 64;
+
+  static std::uint64_t key_of(const Request& m) {
+    return static_cast<std::uint64_t>(m.arg) % kKeys;
+  }
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& ctx, const Request& m,
+                      std::optional<SwitchValue> /*init*/ = std::nullopt) {
+    const std::uint64_t key = key_of(m);
+    if (m.op == RegisterSpec::kRead) {
+      return ModuleResult::commit(cells_[key].read(ctx));
+    }
+    if (key == kKeys - 1) {
+      g_gate_entered.store(true, std::memory_order_release);
+      while (!g_gate_open.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    }
+    cells_[key].write(ctx, m.arg / static_cast<std::int64_t>(kKeys));
+    return ModuleResult::commit(RegisterSpec::kAck);
+  }
+
+  [[nodiscard]] Response peek(std::uint64_t key) const noexcept {
+    return cells_[key].peek();
+  }
+
+ private:
+  std::array<NativeRegister<Response>, kKeys> cells_{};
+};
+
+constexpr std::uint64_t kv_gate_key() { return KvModule::kKeys - 1; }
+
+struct KvModel {
+  static bool is_read(const Request& m) { return m.op == RegisterSpec::kRead; }
+  static std::uint64_t key(const Request& m) { return KvModule::key_of(m); }
+  static std::optional<Response> read_after_write(const Request& m,
+                                                  Response /*r*/) {
+    return m.arg / static_cast<std::int64_t>(KvModule::kKeys);
+  }
+};
+
+Request kv_read(std::uint64_t id, ProcessId p, std::uint64_t key) {
+  return Request{id, p, RegisterSpec::kRead, static_cast<std::int64_t>(key)};
+}
+Request kv_write(std::uint64_t id, ProcessId p, std::uint64_t key,
+                 std::int64_t value) {
+  return Request{id, p, RegisterSpec::kWrite,
+                 static_cast<std::int64_t>(key) +
+                     static_cast<std::int64_t>(KvModule::kKeys) * value};
+}
+
+// The direct-mapped index (and generation slot) of a key in a table of
+// the default 64 entries.
+std::size_t index64(std::uint64_t key) {
+  return static_cast<std::size_t>(ByKeyHash::mix(key) % 64);
+}
+
+// The first two keys below the gate key that share a 64-entry index.
+std::array<std::uint64_t, 2> colliding_keys() {
+  for (std::uint64_t a = 0; a < kv_gate_key(); ++a) {
+    for (std::uint64_t b = a + 1; b < kv_gate_key(); ++b) {
+      if (index64(a) == index64(b)) return {a, b};
+    }
+  }
+  ADD_FAILURE() << "no two keys share an index";
+  return {0, 1};
+}
+
+template <std::size_t kReplicas, std::size_t kRecs = 32>
+using CachedKv = Replicated<Combining<KvModule, 8, ByThread>, kReplicas,
+                            KvModel, ByThread, 64, kRecs>;
 
 // ---------------------------------------------------------------------------
 // The unified Composable surface
@@ -369,11 +460,225 @@ TEST(Replicated, WritesInvalidateEveryReplica) {
   EXPECT_EQ(cached.invoke(writer, inc_req(100, 1)).response, 0);
   for (std::size_t rep = 0; rep < 4; ++rep) {
     const auto v = cached.read_at(rep, 0);
-    if (v.has_value()) EXPECT_EQ(*v, 1) << "replica " << rep;
+    if (v.has_value()) {
+      EXPECT_EQ(*v, 1) << "replica " << rep;
+    }
   }
   // The writer's own replica was refilled by the completion callback.
   ASSERT_TRUE(cached.read_at(1, 0).has_value());
   EXPECT_EQ(*cached.read_at(1, 0), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Per-key invalidation and set-associative replica tables
+
+TEST(Replicated, WriteToOneKeyLeavesOtherKeysHittingOnEveryReplica) {
+  constexpr std::size_t kReplicas = 3;
+  CachedKv<kReplicas> cached;
+  // Key b sits on a different generation slot from key a.
+  const std::uint64_t a = 0;
+  std::uint64_t b = 1;
+  while (index64(b) == index64(a)) ++b;
+
+  std::uint64_t id = 1;
+  for (ProcessId p = 0; p < static_cast<ProcessId>(kReplicas); ++p) {
+    NativeContext ctx(p);
+    (void)cached.invoke(ctx, kv_read(id++, p, a));
+    (void)cached.invoke(ctx, kv_read(id++, p, b));
+  }
+  NativeContext writer(0);
+  ASSERT_TRUE(cached.invoke(writer, kv_write(id++, 0, a, 7)).committed());
+  EXPECT_EQ(cached.invalidations(), 1u);
+
+  // Key b: one hit per replica, no miss.
+  const std::uint64_t hits = cached.hits();
+  const std::uint64_t misses = cached.misses();
+  for (ProcessId p = 0; p < static_cast<ProcessId>(kReplicas); ++p) {
+    NativeContext ctx(p);
+    EXPECT_EQ(cached.invoke(ctx, kv_read(id++, p, b)).response, 0);
+  }
+  EXPECT_EQ(cached.hits(), hits + kReplicas);
+  EXPECT_EQ(cached.misses(), misses);
+
+  // Key a: invisible on the replicas the writer did not refill, the
+  // new value on the writer's own.
+  EXPECT_FALSE(cached.read_at(1, a).has_value());
+  EXPECT_FALSE(cached.read_at(2, a).has_value());
+  ASSERT_TRUE(cached.read_at(0, a).has_value());
+  EXPECT_EQ(*cached.read_at(0, a), 7);
+}
+
+TEST(Replicated, KeysSharingADirectMappedIndexStayResidentAndHit) {
+  CachedKv<1> cached;
+  NativeContext ctx(0);
+  const auto [a, b] = colliding_keys();
+  ASSERT_TRUE(cached.invoke(ctx, kv_write(1, 0, a, 11)).committed());
+  ASSERT_TRUE(cached.invoke(ctx, kv_write(2, 0, b, 22)).committed());
+  // The keys share a generation slot too, so b's write invalidated a:
+  // one miss refills it.
+  EXPECT_EQ(cached.invoke(ctx, kv_read(3, 0, a)).response, 11);
+  EXPECT_EQ(cached.misses(), 1u);
+
+  // Neither key evicted the other.
+  ASSERT_TRUE(cached.read_at(0, a).has_value());
+  ASSERT_TRUE(cached.read_at(0, b).has_value());
+  const std::uint64_t hits = cached.hits();
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(cached.invoke(ctx, kv_read(10 + 2 * i, 0, a)).response, 11);
+    EXPECT_EQ(cached.invoke(ctx, kv_read(11 + 2 * i, 0, b)).response, 22);
+  }
+  EXPECT_EQ(cached.hits(), hits + 16);
+  EXPECT_EQ(cached.misses(), 1u);
+}
+
+TEST(Replicated, ConcurrentMultiKeyHistoriesLinearizePerKey) {
+  // 3 threads mix reads and writes over three keys: two share a
+  // generation slot, the third has its own. Linearizability is local,
+  // so each key's sub-history must linearize against RegisterSpec on
+  // its own at staleness bound 0 — hits included.
+  constexpr int kThreads = 3;
+  constexpr std::uint64_t kOps = 12;
+  const auto [k0, k1] = colliding_keys();
+  std::uint64_t k2 = 0;
+  while (index64(k2) == index64(k0)) ++k2;
+  const std::array<std::uint64_t, 3> keys{k0, k1, k2};
+
+  struct Recorded {
+    std::uint64_t key = 0;
+    std::int64_t op = 0;
+    std::int64_t value = 0;  // written value; 0 for reads
+    Response response = 0;
+    std::uint64_t invoke = 0;
+    std::uint64_t ret = 0;
+  };
+
+  for (int round = 0; round < 10; ++round) {
+    CachedKv<2> cached;
+    std::atomic<std::uint64_t> clock{0};
+    std::array<std::array<Recorded, kOps>, kThreads> rec{};
+    // Every key starts resident on both replicas, so a replica that
+    // misses another replica's write would serve a stale hit.
+    for (ProcessId p = 0; p < 2; ++p) {
+      NativeContext ctx(p);
+      for (const std::uint64_t key : keys) {
+        (void)cached.invoke(ctx, kv_read(1u << 20, p, key));
+      }
+    }
+
+    (void)workload::run_threads(
+        kThreads, kOps, [&](NativeContext& ctx, std::uint64_t i) {
+          const auto tid = static_cast<std::size_t>(ctx.id());
+          Recorded& r = rec[tid][i];
+          r.key = keys[(tid + i) % keys.size()];
+          const std::uint64_t id =
+              (static_cast<std::uint64_t>(tid) << 40) | (i + 1);
+          // Runs of three reads and three writes, phase-shifted per
+          // thread, so every key sees reads and writes from all threads.
+          const bool write = (i / 3 + tid) % 2 == 0;
+          r.op = write ? RegisterSpec::kWrite : RegisterSpec::kRead;
+          r.value = write ? static_cast<std::int64_t>(tid * kOps + i + 1) : 0;
+          const Request m = write ? kv_write(id, ctx.id(), r.key, r.value)
+                                  : kv_read(id, ctx.id(), r.key);
+          r.invoke = clock.fetch_add(1, std::memory_order_acq_rel);
+          r.response = cached.invoke(ctx, m).response;
+          r.ret = clock.fetch_add(1, std::memory_order_acq_rel);
+        });
+
+    for (const std::uint64_t key : keys) {
+      std::vector<ConcurrentOp> ops;
+      for (int t = 0; t < kThreads; ++t) {
+        for (std::uint64_t i = 0; i < kOps; ++i) {
+          const auto& r =
+              rec[static_cast<std::size_t>(t)][static_cast<std::size_t>(i)];
+          if (r.key != key) continue;
+          ConcurrentOp op;
+          op.pid = static_cast<ProcessId>(t);
+          op.request =
+              Request{(static_cast<std::uint64_t>(t) << 40) | (i + 1),
+                      static_cast<ProcessId>(t), r.op, r.value};
+          op.response = r.response;
+          op.invoke = r.invoke;
+          op.ret = r.ret;
+          op.completed = true;
+          ops.push_back(op);
+        }
+      }
+      ASSERT_TRUE(linearizable<RegisterSpec>(std::move(ops)))
+          << "round " << round << " key " << key;
+    }
+    EXPECT_GT(cached.hits(), 0u) << "round " << round;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Completion-pool exhaustion
+
+TEST(Replicated, PoolExhaustionStillHidesPreWriteValuesAndSkipsFills) {
+  constexpr std::size_t kRecs = 2;
+  CachedKv<2, kRecs> cached;
+  const std::uint64_t a = 0;
+  std::uint64_t b = 1;  // never read before the pool runs dry
+  while (index64(b) == index64(a)) ++b;
+
+  // Key a holds 5, cached on both replicas.
+  std::uint64_t id = 1;
+  NativeContext ctx(0);
+  NativeContext other(1);
+  ASSERT_TRUE(cached.invoke(ctx, kv_write(id++, 0, a, 5)).committed());
+  (void)cached.invoke(other, kv_read(id++, 1, a));
+  ASSERT_EQ(cached.read_at(0, a), std::optional<Response>(5));
+  ASSERT_EQ(cached.read_at(1, a), std::optional<Response>(5));
+
+  // A holder parks inside the object with the combiner lock held, so
+  // every submission below stays published and keeps its record.
+  g_gate_entered.store(false);
+  g_gate_open.store(false);
+  std::thread holder([&] {
+    NativeContext hctx(2);
+    (void)cached.invoke(hctx, kv_write(1000, 2, kv_gate_key(), 1));
+  });
+  while (!g_gate_entered.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+
+  // kRecs + 1 writes to key a: the last finds the pool empty and falls
+  // back to the keyless invalidation. Then a miss on key b, which has
+  // no record for its fill either.
+  std::vector<Ticket<ModuleResult>> writes;
+  for (std::int64_t v = 0; v <= static_cast<std::int64_t>(kRecs); ++v) {
+    writes.push_back(cached.submit(ctx, kv_write(id++, 0, a, 100 + v)));
+  }
+  auto read_b = cached.submit(ctx, kv_read(id++, 0, b));
+  const std::uint64_t fills = cached.fills();
+
+  g_gate_open.store(true, std::memory_order_release);
+  holder.join();
+  for (auto& t : writes) EXPECT_TRUE(t.wait().committed());
+  EXPECT_EQ(read_b.wait().response, 0);
+
+  // Every write counted once: the pre-population, the holder's, and
+  // the kRecs + 1 submitted ones.
+  EXPECT_EQ(cached.invalidations(), 2 + kRecs + 1);
+  // The pre-write value is gone from both replicas: each either misses
+  // or serves the object's current value.
+  const Response now = cached.object().object().peek(a);
+  EXPECT_NE(now, 5);
+  for (std::size_t rep = 0; rep < 2; ++rep) {
+    const auto v = cached.read_at(rep, a);
+    if (v.has_value()) {
+      EXPECT_EQ(*v, now) << "replica " << rep;
+    }
+  }
+  EXPECT_FALSE(cached.read_at(1, a).has_value());
+  // Only the pooled writes and the holder's own write refilled; the
+  // pool-less miss skipped its fill, so key b is still absent and its
+  // next read misses.
+  EXPECT_EQ(cached.fills(), fills + kRecs + 1);
+  EXPECT_FALSE(cached.read_at(0, b).has_value());
+  const std::uint64_t misses = cached.misses();
+  EXPECT_EQ(cached.invoke(ctx, kv_read(id++, 0, b)).response, 0);
+  EXPECT_EQ(cached.misses(), misses + 1);
+  EXPECT_EQ(cached.invoke(ctx, kv_read(id++, 0, a)).response, now);
 }
 
 }  // namespace

@@ -599,8 +599,8 @@ TEST(Combining, ShardedCombiningKeepsPerShardAccounting) {
 }
 
 TEST(Combining, BackoffLadderLosesNoOpsUnderOversubscription) {
-  // The spin → pause → yield ladder (detail::combining_backoff) exists
-  // for exactly this regime: more runnable publishers than cores, so a
+  // The spin → pause → yield ladder (spin_backoff) exists for exactly
+  // this regime: more runnable publishers than cores, so a
   // waiter that refuses to yield burns the timeslice the combiner (or
   // the slot owner) needs. Oversubscribe deliberately and verify
   // nothing is lost: every op commits a distinct ticket and the
