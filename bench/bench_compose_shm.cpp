@@ -21,10 +21,11 @@
 //     clients' counts staying exact, the victim's death being the
 //     injected signal, and reclaim_dead() leaving zero occupied slots
 //     (the dead client's abandoned publication record is swept, the
-//     run completes). On a tiny --ops the victim can win the race and
-//     finish before the signal lands; the phase then degrades to a
-//     second exact-equivalence check (recorded in extra.victim_killed)
-//     rather than reporting a vacuous pass.
+//     run completes). The server checks the kill condition on every
+//     serve pass, and the victim cannot finish without being served,
+//     so the signal lands mid-run even at smoke-test sizes; a victim
+//     that finishes first anyway fails the phase instead of passing
+//     vacuously.
 //   stall — one client, and the server sleeps ~100ms after releasing
 //     the start barrier before serving. The client's first op outlives
 //     the whole spin/yield ladder, so it must escalate to the shared
@@ -211,10 +212,10 @@ std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
   std::uint32_t tick = 0;
   while (out.ok) {
     comb.try_serve(ctx);
-    // Bookkeeping (waitpid probes, the kill, reclaim sweeps) runs on a
-    // coarse tick: these are syscalls, and paying them per serve pass
-    // would pace every client round trip at syscall latency.
-    if ((++tick & 0x3ff) != 0) continue;
+    // The kill condition is checked on every serve pass until the kill
+    // is sent (one acquire load per pass): on the coarse tick below, a
+    // victim running a smoke-sized --ops often finished before the
+    // signal landed.
     if (crash && !kill_sent &&
         cells[0].started.load(std::memory_order_acquire) >= 1 &&
         !children.front().exited) {
@@ -222,7 +223,11 @@ std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
       // mid-run and keep serving.
       kill_sent = ::kill(victim, SIGKILL) == 0;
     }
-    if (kill_sent) out.reclaimed += comb.reclaim_dead();
+    // Bookkeeping (waitpid probes, reclaim sweeps) runs on a coarse
+    // tick: these are syscalls, and paying them per serve pass would
+    // pace every client round trip at syscall latency.
+    if ((++tick & 0x3ff) != 0) continue;
+    if (kill_sent) out.reclaimed += comb.reclaim_dead(ctx);
     const int live = reap(children);
     if (live == 0) {
       t1 = clock_type::now();
@@ -235,11 +240,10 @@ std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
   }
 
   // Quiesce: execute anything still published, then sweep the dead.
-  // drain() is safe here even when nothing is pending (satellite-test
-  // covered for the in-process twin): it returns immediately.
+  // drain() returns immediately when nothing is pending.
   if (out.ok) {
     comb.drain(ctx);
-    out.reclaimed += comb.reclaim_dead();
+    out.reclaimed += comb.reclaim_dead(ctx);
     if (comb.occupied() != 0) {
       out.fail("slots still occupied after drain + reclaim_dead");
     }
@@ -249,11 +253,14 @@ std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
   if (out.ok) {
     // The victim counts as killed only when it was reaped dead of the
     // SIGKILL: kill() also succeeds on a victim that has exited but is
-    // not reaped yet (a zombie). Such a victim finished its ops, so it
-    // falls back to the exact-equivalence gates below.
+    // not reaped yet (a zombie), and such a run never exercised the
+    // crash path.
     if (kill_sent) {
       const int st = children.front().status;
       out.victim_killed = WIFSIGNALED(st) && WTERMSIG(st) == SIGKILL;
+    }
+    if (crash && !out.victim_killed) {
+      out.fail("victim finished before the injected SIGKILL");
     }
     out.seconds = std::chrono::duration<double>(t1 - t0).count();
     out.executed = static_cast<std::uint64_t>(comb.object().value());
@@ -265,14 +272,14 @@ std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
           cells[k].completed.load(std::memory_order_acquire);
       started_sum += s;
       completed_sum += c;
-      const bool is_victim = out.victim_killed && k == 0;
+      const bool is_victim = crash && k == 0;
       if (!is_victim && (s != ops || c != ops)) {
         out.fail("a surviving client's counts are not exact");
       }
     }
     for (int k = 0; k < procs; ++k) {
       const Child& c = children[static_cast<std::size_t>(k)];
-      const bool is_victim = out.victim_killed && k == 0;
+      const bool is_victim = crash && k == 0;
       if (!is_victim &&
           (!WIFEXITED(c.status) || WEXITSTATUS(c.status) != 0)) {
         out.fail("client exited nonzero (code " +
@@ -281,7 +288,7 @@ std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
                  ")");
       }
     }
-    if (out.victim_killed) {
+    if (crash) {
       // The kill leaves at most one op ambiguous; both bounds stay
       // exact for every survivor.
       if (!(completed_sum <= out.executed && out.executed <= started_sum)) {

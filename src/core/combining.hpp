@@ -50,10 +50,14 @@
 // combiner issues one batched wake per drained slot set, and the
 // uncontended fast path performs no futex syscall at all — while the
 // deterministic simulator parks the process on a wait predicate
-// (ignoring the WaitPoint) — so the ENTIRE slot protocol runs
-// under SimPlatform and sim::explore enumerates its interleavings
-// (slot_protocol_explore_test checks linearizability and zero slot
-// residue over every schedule of 2-3 processes). Like SpinBarrier, the
+// (ignoring the WaitPoint) — so the blocking invoke() path runs under
+// SimPlatform and sim::explore enumerates its interleavings:
+// slot_protocol_explore_test checks linearizability and zero slot
+// residue over every schedule of 2 processes x 2 slots, at
+// elect_spins 1 and 0. The async surface is not explored: under the
+// simulator submit() completes inline, so publish-and-return,
+// detached retirement and drain() are covered by the native
+// combining_test/async_test stress suites only. Like SpinBarrier, the
 // unbounded spin loads are not counted as steps; the slot-claim and
 // pending-hint RMWs, the publish write, the result read, the
 // combiner-election RMW, and the combiner's slot scan/writeback are

@@ -43,12 +43,13 @@ inline constexpr std::uint32_t kSlotProtocolVersion = 1;
 // ---- seeded protocol mutation (kill-the-mutant gate) ---------------
 //
 // Compiling with -DSCM_MUTATE_SLOT_PROTOCOL plants ONE deliberate
-// protocol bug: the ownership stamp is dropped on claim, so a record
-// claimed by a process that then dies carries owner 0 and the reclaim
-// sweep — which must skip unowned records — can never free it. This
-// exists to prove the verification layer has teeth: the
+// protocol bug: ShmCombining::claim drops the ownership stamp, so a
+// record claimed by a process that then dies carries owner 0 and the
+// reclaim sweep — which must skip unowned records — can never free it.
+// This exists to prove the verification layer has teeth: the
 // slot_mutation_catch CTest entry compiles the explorer suite with the
-// flag and EXPECTS it to fail (WILL_FAIL). Never define the flag in a
+// flag and passes only when the publisher crash sweep fails with its
+// "record not swept" message. Never define the flag in a
 // shipping build; the constant below keeps the mutation a plain `if`
 // in protocol code instead of scattered #ifdefs.
 #if defined(SCM_MUTATE_SLOT_PROTOCOL)

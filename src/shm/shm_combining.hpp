@@ -26,7 +26,7 @@
 //     publisher's pid when it stores kDone, so a publisher that died
 //     waiting still has its name on the slot.
 //   - reclaim_dead() sweeps, UNDER THE GATE, every slot whose owner no
-//     longer exists (kill(pid, 0) probe, injectable for tests) and
+//     longer exists (kill(pid, 0) probe, or an injected predicate) and
 //     frees the ones the dead process could never recycle itself:
 //     kClaimed (died mid-write — the request was never published, so
 //     dropping it is the only sound choice) and kDone (died waiting —
@@ -48,9 +48,15 @@
 // per kill. A combiner dying mid-batch would instead leave the wrapped
 // object's state ahead of any count — unrecoverable without undo logs.
 //
-// Like the in-process wrapper, publishers BLOCK on the combiner's
-// progress: native-platform only (NativeContext), never the
-// deterministic simulator.
+// The same class runs under the deterministic simulator. Every wait
+// goes through wait_until (runtime/wait.hpp), which parks a SimContext
+// on its predicate, and the owner id comes from the context: the pid
+// natively, ctx.id() + 1 under an awaitable context, where
+// reclaim_dead takes its liveness predicate from the caller.
+// slot_protocol_explore_test enumerates every interleaving of this
+// code and sweeps a crash fault over every step of a dying publisher
+// and of a dying combiner, so the protocol that ships is the protocol
+// that is model-checked.
 #pragma once
 
 #include "shm/shm_arena.hpp"  // platform gate: defines SCM_HAS_POSIX_SHM
@@ -159,7 +165,7 @@ class ShmCombining {
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt,
                       bool may_combine = true) {
-    const std::uint32_t self = self_pid();
+    const std::uint32_t self = owner_of(ctx);
     // Fast path: gate free — run directly (a batch of one), serve
     // whatever published meanwhile, release.
     if (may_combine && try_gate(ctx, self)) {
@@ -216,7 +222,7 @@ class ShmCombining {
   template <class Ctx>
     requires Composable<Obj, Ctx>
   bool try_serve(Ctx& ctx) {
-    if (!try_gate(ctx, self_pid())) return false;
+    if (!try_gate(ctx, owner_of(ctx))) return false;
     combine(ctx);
     release_gate();
     return true;
@@ -259,30 +265,25 @@ class ShmCombining {
   // Runs the sweep UNDER the gate so it cannot race a live combiner's
   // scan/writeback; if a LIVE process holds the gate there is nothing
   // to reclaim safely and the sweep is skipped (returns 0 — call
-  // again later, the server loop does). Returns slots freed.
+  // again later, the server loop does). Returns slots freed. The gate
+  // CAS and every free are counted RMWs, so under the simulator the
+  // sweep interleaves step by step with live publishers.
   //
-  // `alive(pid) -> bool` is injectable so tests can declare a live
-  // helper process "dead" deterministically.
-  template <class Alive>
-  std::size_t reclaim_dead(Alive&& alive) {
-    const std::uint32_t self = self_pid();
+  // `alive(owner) -> bool` is injectable so tests can declare a live
+  // helper process "dead" deterministically, and so simulated owners
+  // (ctx.id() + 1, not pids) can be probed at all.
+  template <class Ctx, class Alive>
+  std::size_t reclaim_dead(Ctx& ctx, Alive&& alive) {
     std::uint32_t holder = gate_.load(std::memory_order_acquire);
-    if (holder == 0) {
-      if (!gate_.compare_exchange_strong(holder, self,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-        return 0;
-      }
-    } else {
-      if (alive(holder)) return 0;
-      // Steal from the dead: the CAS fails if anyone else (another
-      // reclaimer) already did.
-      if (!gate_.compare_exchange_strong(holder, self,
-                                         std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-        return 0;
-      }
+    if (holder != 0 && alive(holder)) return 0;
+    // Take a free gate or steal it from the dead: the CAS fails if
+    // anyone else (a combiner, another reclaimer) got there first.
+    if (!gate_.compare_exchange_strong(holder, owner_of(ctx),
+                                       std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      return 0;
     }
+    ctx.on_rmw();
 
     std::size_t reclaimed = 0;
     for (Slot& s : slots_) {
@@ -303,6 +304,7 @@ class ShmCombining {
       if (s.word.compare_exchange_strong(w, pack_slot(SlotState::kFree, 0),
                                          std::memory_order_acq_rel,
                                          std::memory_order_relaxed)) {
+        ctx.on_rmw();
         ++reclaimed;
       }
     }
@@ -315,8 +317,17 @@ class ShmCombining {
     return reclaimed;
   }
 
-  std::size_t reclaim_dead() {
-    return reclaim_dead([](std::uint32_t pid) { return shm_process_alive(pid); });
+  // The native sweep, probing each owner pid with kill(pid, 0).
+  template <class Ctx>
+    requires(!detail::context_can_await_v<Ctx>)
+  std::size_t reclaim_dead(Ctx& ctx) {
+    return reclaim_dead(
+        ctx, [](std::uint32_t pid) { return shm_process_alive(pid); });
+  }
+
+  // Owner id of the current combiner (0 = gate free).
+  [[nodiscard]] std::uint32_t gate_holder() const noexcept {
+    return gate_.load(std::memory_order_acquire);
   }
 
   [[nodiscard]] Obj& object() noexcept { return obj_; }
@@ -345,8 +356,18 @@ class ShmCombining {
   }
 
  private:
-  static std::uint32_t self_pid() noexcept {
-    return static_cast<std::uint32_t>(::getpid());
+  // Owner id stamped into the gate and slot words: the pid natively,
+  // which kill(pid, 0) can probe; ctx.id() + 1 under an awaitable
+  // (simulated) context, where every process shares one pid. Both are
+  // nonzero, so 0 keeps meaning "unowned".
+  template <class Ctx>
+  static std::uint32_t owner_of(const Ctx& ctx) noexcept {
+    if constexpr (detail::context_can_await_v<Ctx>) {
+      return static_cast<std::uint32_t>(ctx.id()) + 1;
+    } else {
+      (void)ctx;
+      return static_cast<std::uint32_t>(::getpid());
+    }
   }
 
   // Gate = combiner election word holding the OWNER'S PID (0 = free),
@@ -373,12 +394,15 @@ class ShmCombining {
     futex_waiters_.wake_all();
   }
 
-  // Claims a free record, rotating from a pid-derived hint; blocks
+  // Claims a free record, rotating from an owner-derived hint; blocks
   // (paced) while the array is exhausted — slot holders are publishers
   // mid-round-trip, and each round trip completes in bounded time once
-  // a combiner runs.
+  // a combiner runs. The ownership stamp rides in the claim CAS itself,
+  // the indivisibility reclaim_dead depends on and exactly what the
+  // seeded mutation (kMutateDropOwnerStamp) severs.
   template <class Ctx>
   std::size_t claim(Ctx& ctx, std::uint32_t self) {
+    const std::uint32_t stamp = kMutateDropOwnerStamp ? 0 : self;
     const std::size_t hint = static_cast<std::size_t>(self) % kSlots;
     for (;;) {
       for (std::size_t k = 0; k < kSlots; ++k) {
@@ -388,7 +412,7 @@ class ShmCombining {
         std::uint64_t expected = pack_slot(SlotState::kFree, 0);
         if (slot.word.load(std::memory_order_relaxed) == expected &&
             slot.word.compare_exchange_strong(
-                expected, pack_slot(SlotState::kClaimed, self),
+                expected, pack_slot(SlotState::kClaimed, stamp),
                 std::memory_order_acquire, std::memory_order_relaxed)) {
           ctx.on_rmw();
           return idx;

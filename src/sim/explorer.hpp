@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -28,16 +29,22 @@ struct ExploreStats {
 // check:     invoked after each complete run with the finished simulator;
 //            should assert/record whatever property is under test.
 // max_runs:  safety valve on the number of explored interleavings.
+// crash_at:  crash faults injected into every run (CrashSchedule: pid ->
+//            global step index from which its next grant crashes it);
+//            the crashes are part of each run, so the tree explored is
+//            every interleaving of the crashing execution.
 inline ExploreStats explore_all_schedules(
     const std::function<std::unique_ptr<Simulator>()>& make_sim,
     const std::function<void(Simulator&)>& check,
-    std::uint64_t max_runs = 250'000) {
+    std::uint64_t max_runs = 250'000,
+    const std::map<ProcessId, std::uint64_t>& crash_at = {}) {
   ExploreStats stats;
   std::vector<std::size_t> prefix;  // canonical choice sequence
   for (;;) {
     auto sim = make_sim();
     ReplaySchedule schedule(prefix);
-    sim->run(schedule);
+    CrashSchedule crashing(schedule, crash_at);
+    sim->run(crashing);
     ++stats.runs;
     check(*sim);
 

@@ -281,4 +281,10 @@ bool Simulator::in_operation(ProcessId pid) const {
   return procs_.at(pid)->in_op;
 }
 
+bool Simulator::finished(ProcessId pid) const {
+  // Same access discipline as in_operation: the controller holds mu_.
+  const State state = procs_.at(pid)->state;
+  return state == State::kDone || state == State::kCrashed;
+}
+
 }  // namespace scm::sim

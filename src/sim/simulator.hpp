@@ -188,6 +188,12 @@ class Simulator {
   // for Schedule implementations.
   [[nodiscard]] bool in_operation(ProcessId pid) const;
 
+  // True once `pid`'s body returned or crashed. Valid during run() on
+  // the controller thread, i.e. in Schedule implementations and await()
+  // predicates: a survivor awaits another process's exit the way a
+  // parent waits in waitpid().
+  [[nodiscard]] bool finished(ProcessId pid) const;
+
  private:
   friend class SimContext;
 

@@ -1,6 +1,8 @@
-// Exhaustive model checking of the owner-tagged publication-slot
-// protocol (core/slot_protocol.hpp) via CombiningModel
-// (sim/combining_model.hpp) — the sim twin of ShmCombining.
+// Exhaustive model checking of the publication-slot protocol
+// (core/slot_protocol.hpp) on the code that ships: the owner-tagged
+// cross-process engine ShmCombining (shm/shm_combining.hpp) and the
+// in-process Combining (core/combining.hpp), both driven directly
+// under the deterministic simulator.
 //
 // Every test here drives the protocol through sim::explore over ALL
 // interleavings of its processes (stats.exhausted is asserted, so a
@@ -9,55 +11,60 @@
 //  * linearizability: the served fetch&inc history linearizes against
 //    CounterSpec in every interleaving ({2 procs x 2 slots} and
 //    {3 procs x 2 slots}, the latter forcing slot exhaustion);
-//  * residue: after every run the slot array is all-kFree and the
-//    combiner gate is released;
-//  * crash-reclaim, with deaths modeled as protocol prefixes (the
-//    crash surface of CombiningModel) at each stage:
-//      - died WAITING (kPending published): the op still executes
-//        exactly once, and the dead-owned kDone record is swept;
-//      - died MID-CLAIM (kClaimed): the record is swept — this is the
-//        invariant the seeded mutation (SCM_MUTATE_SLOT_PROTOCOL,
-//        drops the ownership stamp) breaks, and the slot_mutation_catch
-//        CTest entry recompiles this file with the mutation and
-//        expects CrashReclaim.ClaimedRecordOfDeadOwnerIsSwept to fail;
-//      - died HOLDING THE GATE: a survivor's reclaim steals the gate
-//        and the object serves operations again.
+//  * residue: after every run the slot array is all-kFree (so nothing
+//    is left pending) and the ShmCombining gate is released;
+//  * tree size: the run counts are pinned exactly, so a scheduling
+//    point lost from or added to the shipped code fails the suite;
+//  * crash-reclaim, with deaths as the simulator's own crash faults: a
+//    may_combine = false publisher, and a combiner holding the gate,
+//    are crashed at every step in turn while a survivor serves, waits
+//    for the exit, then drains and reclaims. The dead process's op
+//    executes at most once, exactly once whenever the survivor saw it
+//    published, and never if its own steps show it died before
+//    publishing (or, as combiner, before reaching the object); nothing
+//    is left occupied and the gate is free. The
+//    seeded mutation (SCM_MUTATE_SLOT_PROTOCOL drops the claim's
+//    ownership stamp in ShmCombining::claim) breaks the publisher
+//    sweep, and the slot_mutation_catch CTest entry recompiles this
+//    file with the mutation and expects that sweep's "not swept"
+//    failure.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
+#include "core/combining.hpp"
 #include "core/module.hpp"
 #include "core/slot_protocol.hpp"
 #include "history/request.hpp"
 #include "history/specs.hpp"
 #include "lincheck/lincheck.hpp"
-#include "runtime/primitives.hpp"
 #include "runtime/wait.hpp"
-#include "sim/combining_model.hpp"
+#include "shm/shm_combining.hpp"  // defines SCM_HAS_POSIX_SHM
 #include "sim/explorer.hpp"
+#include "sim/sim_platform.hpp"
 #include "sim/simulator.hpp"
 
 namespace scm {
 namespace {
 
-using sim::CombiningModel;
 using sim::explore_all_schedules;
+using sim::OpRecord;
 using sim::SimContext;
 using sim::Simulator;
 
 // Fetch&inc semantics (CounterSpec): commits a unique monotone ticket.
-// NativeCounter is context-generic, so the same module runs under the
-// simulator with its RMW counted as a step.
+// The counter is the simulator's own base object: its RMW is a counted
+// step that a crash fault can land on (a crash unwinds as an exception,
+// so the module must not be noexcept on that path).
 struct TicketModule {
   static constexpr int kConsensusNumber = kConsensusNumberFetchAdd;
 
-  template <class Ctx>
-  ModuleResult invoke(Ctx& ctx, const Request& /*m*/,
+  ModuleResult invoke(SimContext& ctx, const Request& /*m*/,
                       std::optional<SwitchValue> /*init*/ = std::nullopt) {
     return ModuleResult::commit(static_cast<Response>(count_.fetch_add(ctx)));
   }
@@ -65,7 +72,7 @@ struct TicketModule {
   [[nodiscard]] std::uint64_t count() const noexcept { return count_.peek(); }
 
  private:
-  NativeCounter count_;
+  sim::SimCounter count_;
 };
 
 Request inc_req(std::uint64_t id, ProcessId p) {
@@ -73,8 +80,8 @@ Request inc_req(std::uint64_t id, ProcessId p) {
 }
 
 // Rebuilds the simulator's recorded ops as ConcurrentOps for the
-// Wing&Gong checker; `tag` carries nothing here (one op per process),
-// `output` carries the ticket.
+// Wing&Gong checker; `tag` carries the request id (one op per
+// process), `output` carries the ticket.
 std::vector<ConcurrentOp> history_of(const Simulator& sim) {
   std::vector<ConcurrentOp> ops;
   for (const auto& rec : sim.ops()) {
@@ -93,28 +100,25 @@ std::vector<ConcurrentOp> history_of(const Simulator& sim) {
 // ---------------------------------------------------------------------------
 // Exhaustive linearizability + residue, no crashes
 
-// Shared fixture state for one explored configuration: the model must
-// outlive each run, and the check hook only receives the Simulator, so
-// the factory stashes the current instance here.
-template <std::size_t kSlots>
-struct Fixture {
-  CombiningModel<TicketModule, kSlots> model;
-};
-
-template <std::size_t kSlots>
-void explore_full_protocol(int procs, std::uint64_t min_runs) {
-  std::shared_ptr<Fixture<kSlots>> fx;
+// Explores every interleaving of `procs` processes, each invoking one
+// fetch&inc on a fresh Engine (prepared by `setup`), and pins the size
+// of the tree. The engine must outlive each run and the check hook
+// only receives the Simulator, so the factory stashes it here.
+template <class Engine>
+void explore_invokes(int procs, std::uint64_t expected_runs,
+                     const std::function<void(Engine&)>& setup = {}) {
+  std::shared_ptr<Engine> engine;
   std::uint64_t runs = 0;
   auto stats = explore_all_schedules(
       [&] {
-        fx = std::make_shared<Fixture<kSlots>>();
+        engine = std::make_shared<Engine>();
+        if (setup) setup(*engine);
         auto sim = std::make_unique<Simulator>();
         for (int p = 0; p < procs; ++p) {
-          sim->add_process([fx, p](SimContext& ctx) {
+          sim->add_process([engine, p](SimContext& ctx) {
             const auto id = static_cast<std::uint64_t>(p) + 1;
             ctx.begin_op(static_cast<std::int64_t>(id));
-            const ModuleResult r =
-                fx->model.invoke(ctx, inc_req(id, ctx.id()));
+            const ModuleResult r = engine->invoke(ctx, inc_req(id, ctx.id()));
             ctx.end_op(r.response);
           });
         }
@@ -127,167 +131,216 @@ void explore_full_protocol(int procs, std::uint64_t min_runs) {
         for (const auto& op : sim.ops()) ASSERT_TRUE(op.complete);
         ASSERT_TRUE(linearizable<CounterSpec>(history_of(sim)))
             << "non-linearizable interleaving at run " << runs;
-        // Residue: all ops executed, every record recycled, gate free.
-        ASSERT_EQ(fx->model.object().count(),
+        // Residue: all ops executed, every record recycled (so nothing
+        // is left pending), and a gate with an owner word is released.
+        ASSERT_EQ(engine->object().count(),
                   static_cast<std::uint64_t>(procs));
-        ASSERT_EQ(fx->model.occupied(), 0u);
-        ASSERT_EQ(fx->model.pending(), 0u);
-        ASSERT_EQ(fx->model.gate_holder(), 0u);
+        ASSERT_EQ(engine->occupied(), 0u);
+        if constexpr (requires { engine->gate_holder(); }) {
+          ASSERT_EQ(engine->gate_holder(), 0u);
+        }
       });
-  // The gate: the FULL tree was enumerated (a truncated search would
-  // be a silent downgrade from "verified" to "sampled"), and it is at
-  // least as large as the count measured when the test was written —
-  // shrinkage means scheduling points disappeared from the protocol.
+  // The FULL tree was enumerated (a truncated search would be a silent
+  // downgrade from "verified" to "sampled"), and its size is exactly
+  // the one measured when the test was written.
   EXPECT_TRUE(stats.exhausted);
-  EXPECT_GE(stats.runs, min_runs);
+  EXPECT_EQ(stats.runs, expected_runs);
   EXPECT_EQ(stats.runs, runs);
-  std::cerr << "[ protocol ] " << procs << " procs x " << kSlots
+  std::cerr << "[ protocol ] " << procs << " procs x " << Engine::kSlotCount
             << " slots: " << stats.runs << " interleavings verified\n";
 }
+
+// The in-process wrapper at both election settings. elect_spins 1 is
+// the TAS fast path (most schedules never publish); elect_spins 0 is
+// publish-and-batch, where every op takes the full publication round
+// trip and the tree is correspondingly larger.
+TEST(SlotProtocolExplore, InProcessCombiningElectSpins1) {
+  using Engine = Combining<TicketModule, 2>;
+  explore_invokes<Engine>(/*procs=*/2, /*expected_runs=*/30,
+                          [](Engine& c) { c.set_elect_spins(1); });
+}
+
+TEST(SlotProtocolExplore, InProcessCombiningElectSpins0) {
+  using Engine = Combining<TicketModule, 2>;
+  explore_invokes<Engine>(/*procs=*/2, /*expected_runs=*/6'151,
+                          [](Engine& c) { c.set_elect_spins(0); });
+}
+
+#if SCM_HAS_POSIX_SHM
 
 // The trees are smaller than a naive step count suggests: failed gate
 // pre-tests and the publisher's final kFree store are uncounted, so
 // only schedules that differ in a COUNTED access are distinct leaves
 // (the soundness argument lives in core/combining.hpp's platform note).
 TEST(SlotProtocolExplore, TwoProcsTwoSlotsLinearizableNoResidue) {
-  explore_full_protocol<2>(/*procs=*/2, /*min_runs=*/20);
+  explore_invokes<ShmCombining<TicketModule, 2>>(/*procs=*/2,
+                                                 /*expected_runs=*/20);
 }
 
 // Three processes through two slots: some interleavings exhaust the
 // slot array, exercising the claim-wait path and recycle-then-claim.
 TEST(SlotProtocolExplore, ThreeProcsTwoSlotsLinearizableNoResidue) {
-  explore_full_protocol<2>(/*procs=*/3, /*min_runs=*/10'000);
+  explore_invokes<ShmCombining<TicketModule, 2>>(/*procs=*/3,
+                                                 /*expected_runs=*/118'886);
 }
 
 // ---------------------------------------------------------------------------
-// Crash-reclaim invariants
+// Crash sweeps
 //
-// A "death" is a protocol prefix: the process body performs the prefix
-// and returns, leaving shared state exactly as a SIGKILL there would.
-// The survivor's alive() predicate declares every other owner dead.
+// Process 0 runs ONE invoke and is crashed by the simulator at global
+// step k (its first grant at or after step k), for every k until a
+// whole tree runs it to completion; at each k every interleaving is
+// explored. Process 1 survives. It is built like the compose.shm
+// server: it serves while process 0 lives, awaits its exit (waitpid's
+// analogue), reclaims, drains, reclaims again, and finally invokes an
+// op of its own, which must complete on the swept object.
 
-using CrashModel = CombiningModel<TicketModule, 2>;
+using CrashEngine = ShmCombining<TicketModule, 2>;
 
-// Owner id of simulated process p under CombiningModel's ctx.id()+1
-// scheme, for alive() predicates evaluated outside any context.
-constexpr std::uint32_t owner_id(int p) {
-  return static_cast<std::uint32_t>(p) + 1;
+// Owner id of the survivor (ctx.id() + 1 under the simulator): after
+// process 0 has exited it is the only live owner.
+constexpr std::uint32_t kSurvivorOwner = 2;
+
+struct CrashRun {
+  CrashEngine engine;
+  bool saw_pending = false;  // survivor observed a pending publication
+};
+
+void survive(CrashRun& run, const Simulator& sim, SimContext& ctx) {
+  CrashEngine& e = run.engine;
+  const auto alive = [](std::uint32_t owner) {
+    return owner == kSurvivorOwner;
+  };
+  // Each wake is either a publication to serve under a free gate or
+  // process 0's exit; nothing runs between the wake and these reads.
+  for (;;) {
+    wait_until(ctx, [&] {
+      return (e.pending() != 0 && e.gate_holder() == 0) || sim.finished(0);
+    });
+    if (e.pending() == 0 || e.gate_holder() != 0) break;
+    run.saw_pending = true;
+    (void)e.try_serve(ctx);
+  }
+  // Process 0 is gone. Steal a gate it died holding and sweep its
+  // kClaimed/kDone records; a publication it completed (kPending) is
+  // exempt, executes in the drain, and its kDone is swept after.
+  (void)e.reclaim_dead(ctx, alive);
+  if (e.pending() != 0) run.saw_pending = true;
+  e.drain(ctx);
+  (void)e.reclaim_dead(ctx, alive);
+
+  ctx.begin_op(2);
+  const ModuleResult r = e.invoke(ctx, inc_req(2, ctx.id()));
+  ctx.end_op(r.response);
 }
 
-// Died waiting: the kPending publication is complete, so the op MUST
-// execute exactly once — a reclaim that discarded it would lose an
-// acknowledged-as-published operation; a combiner that ran it twice
-// would double-apply. Afterwards the dead-owned kDone record (the
-// publisher will never collect) must be swept and the array left clean.
-TEST(CrashReclaim, PendingOpOfDeadOwnerExecutesExactlyOnce) {
-  std::shared_ptr<CrashModel> model;
-  auto stats = explore_all_schedules(
-      [&] {
-        model = std::make_shared<CrashModel>();
-        auto sim = std::make_unique<Simulator>();
-        // pid 0: publishes, then dies waiting to be served.
-        sim->add_process([model](SimContext& ctx) {
-          (void)model->publish_only(ctx, inc_req(1, ctx.id()));
-        });
-        // pid 1: the survivor. Serves once the publication is visible,
-        // then sweeps the wreckage.
-        sim->add_process([model](SimContext& ctx) {
-          wait_until(ctx, [model] { return model->pending() != 0; });
-          model->drain(ctx);
-          const std::size_t swept = model->reclaim_dead(
-              ctx, [](std::uint32_t owner) { return owner == owner_id(1); });
-          ctx.begin_op();
-          ctx.end_op(static_cast<std::int64_t>(swept));
-        });
-        return sim;
-      },
-      [&](Simulator& sim) {
-        ASSERT_EQ(sim.ops().size(), 1u);
-        // Exactly once: the counter advanced by one for the dead
-        // publisher's op, never zero, never two.
-        ASSERT_EQ(model->object().count(), 1u);
-        // The dead-owned kDone record was swept...
-        ASSERT_EQ(sim.ops()[0].output, 1);
-        // ...leaving no residue and a free gate.
-        ASSERT_EQ(model->occupied(), 0u);
-        ASSERT_EQ(model->gate_holder(), 0u);
-      });
-  EXPECT_TRUE(stats.exhausted);
+// Whether process 0's op reached the point of no return before it
+// died, read off its own step counters: a step's counter is bumped only
+// once the step is granted, and nothing is scheduled between that grant
+// and the access it guards. A publisher's one counted write is the
+// grant right before its kPending store; a combiner's second RMW (after
+// the gate CAS) is the grant right before the counter's increment.
+bool dying_op_took_effect(const Simulator& sim, bool may_combine) {
+  const StepCounters& c = sim.counters(0);
+  return may_combine ? c.rmws >= 2 : c.writes >= 1;
 }
 
-// Died mid-claim: a kClaimed record whose owner is dead is pure
-// wreckage (the request was never published) and must be swept. THIS
-// is the invariant the seeded mutation breaks: with the ownership
-// stamp dropped, the record reads as owner 0 — indistinguishable from
-// an in-flight claim — and the sweep must skip it forever.
-TEST(CrashReclaim, ClaimedRecordOfDeadOwnerIsSwept) {
-  std::shared_ptr<CrashModel> model;
-  auto stats = explore_all_schedules(
-      [&] {
-        model = std::make_shared<CrashModel>();
-        auto sim = std::make_unique<Simulator>();
-        // pid 0: claims a record, dies before publishing into it.
-        sim->add_process(
-            [model](SimContext& ctx) { (void)model->claim_only(ctx); });
-        // pid 1: waits until the claim landed, then sweeps.
-        sim->add_process([model](SimContext& ctx) {
-          wait_until(ctx, [model] { return model->occupied() != 0; });
-          const std::size_t swept = model->reclaim_dead(
-              ctx, [](std::uint32_t owner) { return owner == owner_id(1); });
-          ctx.begin_op();
-          ctx.end_op(static_cast<std::int64_t>(swept));
-        });
-        return sim;
-      },
-      [&](Simulator& sim) {
-        ASSERT_EQ(sim.ops().size(), 1u);
-        ASSERT_EQ(sim.ops()[0].output, 1) << "dead kClaimed record not swept";
-        ASSERT_EQ(model->occupied(), 0u);
-        ASSERT_EQ(model->gate_holder(), 0u);
-        // Nothing was ever published, so nothing may have executed.
-        ASSERT_EQ(model->object().count(), 0u);
-      });
-  EXPECT_TRUE(stats.exhausted);
+void check_crash_run(const CrashRun& run, const Simulator& sim,
+                     bool may_combine, std::uint64_t k) {
+  const CrashEngine& e = run.engine;
+  ASSERT_EQ(e.occupied(), 0u)
+      << "dead process's record not swept (crash step " << k << ")";
+  ASSERT_EQ(e.gate_holder(), 0u) << "gate still held (crash step " << k << ")";
+
+  const OpRecord* dying = nullptr;
+  const OpRecord* survivor = nullptr;
+  for (const OpRecord& op : sim.ops()) (op.pid == 0 ? dying : survivor) = &op;
+  ASSERT_NE(survivor, nullptr);
+  ASSERT_TRUE(survivor->complete) << "object wedged (crash step " << k << ")";
+
+  // The survivor's op executed once and last, so the rest of the count
+  // is process 0's op.
+  ASSERT_GE(e.object().count(), 1u);
+  const std::uint64_t dying_execs = e.object().count() - 1;
+  ASSERT_LE(dying_execs, 1u)
+      << "dying process's op executed twice (crash step " << k << ")";
+  if (run.saw_pending) {
+    ASSERT_EQ(dying_execs, 1u)
+        << "published op of a dead process lost (crash step " << k << ")";
+  }
+  // Exactly the ops that took effect executed: an op that was never
+  // published (or never reached the object) must not run either.
+  ASSERT_EQ(dying_execs, dying_op_took_effect(sim, may_combine) ? 1u : 0u)
+      << "dying process's op executed " << dying_execs
+      << " times against its own steps (crash step " << k << ")";
+  if (dying != nullptr && dying->complete) {
+    ASSERT_EQ(dying_execs, 1u);
+    ASSERT_EQ(dying->output, 0);
+  }
+  ASSERT_EQ(survivor->output, static_cast<std::int64_t>(dying_execs));
 }
 
-// Died holding the gate: a dead combiner wedges every future election.
-// The survivor's reclaim must steal the gate from the corpse, after
-// which the object serves operations again.
-TEST(CrashReclaim, GateIsStolenFromDeadHolder) {
-  std::shared_ptr<CrashModel> model;
-  auto stats = explore_all_schedules(
-      [&] {
-        model = std::make_shared<CrashModel>();
-        auto sim = std::make_unique<Simulator>();
-        // pid 0: wins the combiner election, dies before combining.
-        sim->add_process([model](SimContext& ctx) { model->seize_gate(ctx); });
-        // pid 1: sees the wedge, reclaims (stealing the gate), then
-        // runs an op end-to-end to prove the object is live again.
-        sim->add_process([model](SimContext& ctx) {
-          wait_until(ctx, [model] { return model->gate_holder() != 0; });
-          (void)model->reclaim_dead(
-              ctx, [](std::uint32_t owner) { return owner == owner_id(1); });
-          ctx.begin_op(2);
-          const ModuleResult r = model->invoke(ctx, inc_req(2, ctx.id()));
-          ctx.end_op(r.response);
-        });
-        return sim;
-      },
-      [&](Simulator& sim) {
-        ASSERT_EQ(sim.ops().size(), 1u);
-        ASSERT_TRUE(sim.ops()[0].complete) << "object still wedged";
-        ASSERT_EQ(sim.ops()[0].output, 0);  // first ticket
-        ASSERT_EQ(model->object().count(), 1u);
-        ASSERT_EQ(model->occupied(), 0u);
-        ASSERT_EQ(model->gate_holder(), 0u);
-      });
-  EXPECT_TRUE(stats.exhausted);
+// Sweeps the crash point over every step of process 0 invoking with
+// `may_combine`; returns the runs explored over all crash points,
+// which the tests pin like the trees above. The sweep ends at the
+// first k at which no run crashed process 0: every later k then leaves
+// it running too.
+std::uint64_t sweep_crash_points(bool may_combine) {
+  std::uint64_t total = 0;
+  for (std::uint64_t k = 0;; ++k) {
+    std::shared_ptr<CrashRun> run;
+    bool crashed = false;
+    const auto stats = explore_all_schedules(
+        [&] {
+          run = std::make_shared<CrashRun>();
+          auto sim = std::make_unique<Simulator>();
+          const Simulator* observer = sim.get();
+          sim->add_process([run, may_combine](SimContext& ctx) {
+            ctx.begin_op(1);
+            const ModuleResult r = run->engine.invoke(
+                ctx, inc_req(1, ctx.id()), std::nullopt, may_combine);
+            ctx.end_op(r.response);
+          });
+          sim->add_process([run, observer](SimContext& ctx) {
+            survive(*run, *observer, ctx);
+          });
+          return sim;
+        },
+        [&](Simulator& sim) {
+          crashed = crashed || sim.crashed(0);
+          check_crash_run(*run, sim, may_combine, k);
+        },
+        /*max_runs=*/250'000, /*crash_at=*/{{0, k}});
+    EXPECT_TRUE(stats.exhausted);
+    total += stats.runs;
+    if (::testing::Test::HasFailure() || !crashed) break;
+  }
+  return total;
 }
+
+// A crash-exposed publisher (may_combine = false, as compose.shm's
+// clients run) dies at every step: before claiming, holding a kClaimed
+// record (the mutation's target: without the ownership stamp the sweep
+// cannot attribute it), with its op published, after being served, and
+// never.
+TEST(CrashSweep, PublisherDyingAtEveryStepIsReclaimed) {
+  EXPECT_EQ(sweep_crash_points(/*may_combine=*/false), 38u);
+}
+
+// A combiner dies at every step of its fast path: before electing
+// itself, and holding the gate with its op not yet executed. The
+// survivor's reclaim steals the gate from the corpse and the object
+// serves again. (A combiner dying mid-batch over published ops is
+// outside the protocol's guarantees — see shm_combining.hpp — so the
+// survivor here publishes nothing until process 0 has exited.)
+TEST(CrashSweep, CombinerDyingAtEveryStepIsReclaimed) {
+  EXPECT_EQ(sweep_crash_points(/*may_combine=*/true), 10u);
+}
+
+#endif  // SCM_HAS_POSIX_SHM
 
 // The mutation flips protocol behavior, not just test expectations:
-// guard that a build WITHOUT the flag really runs the honest protocol
-// (so slot_mutation_catch's WILL_FAIL can only be satisfied by the
-// mutation itself being caught).
+// guard that a build WITHOUT the flag really runs the honest protocol.
 TEST(SlotProtocolExplore, MutationFlagMatchesBuild) {
 #if defined(SCM_MUTATE_SLOT_PROTOCOL)
   EXPECT_TRUE(kMutateDropOwnerStamp);
