@@ -26,13 +26,17 @@
 //     so the signal lands mid-run even at smoke-test sizes; a victim
 //     that finishes first anyway fails the phase instead of passing
 //     vacuously.
-//   stall — one client, and the server sleeps ~100ms after releasing
-//     the start barrier before serving. The client's first op outlives
-//     the whole spin/yield ladder, so it must escalate to the shared
-//     futex word (rung 3) instead of burning its core — gated on the
-//     segment-resident park counter being nonzero (parks are counted
+//   stall — one client, and after releasing the start barrier the
+//     server withholds service until the segment-resident park counter
+//     turns nonzero, or a 10 s deadline passes. The client's first op
+//     then outlives the whole spin/yield ladder, so it must escalate to
+//     the shared futex word (rung 3) instead of burning its core —
+//     gated on that park counter being nonzero (parks are counted
 //     under the yield fallback too, so the gate holds in both build
-//     modes), on top of the exact-equivalence gates.
+//     modes), on top of the exact-equivalence gates. The stall's
+//     length, the client's time to first park, is the phase's
+//     stall_ms extra; on a loaded machine it varies widely, so no
+//     fixed stall is long enough for every run.
 //
 // All phases surface the combiner's parking telemetry
 // (parks/wakes/spurious_wakes/futex_syscalls) as extra columns; the
@@ -123,7 +127,8 @@ struct PhaseOutcome {
   std::uint64_t executed = 0;  // final counter value
   std::uint64_t reclaimed = 0;
   bool victim_killed = false;
-  ParkStats parking;  // segment-resident, so cross-process totals
+  double stall_ms = 0.0;  // how long the server withheld service
+  ParkStats parking;      // segment-resident, so cross-process totals
 
   void fail(const std::string& gate) {
     if (ok) why = gate;
@@ -137,7 +142,7 @@ struct PhaseOutcome {
 std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
                                       std::uint64_t ops,
                                       std::uint64_t segment_bytes, bool crash,
-                                      int stall_ms = 0) {
+                                      bool stall = false) {
   // Defensive: a previous crashed run may have leaked the name.
   ShmArena::unlink(segment);
   std::string err;
@@ -197,11 +202,19 @@ std::optional<PhaseOutcome> run_phase(const std::string& segment, int procs,
   }
   const auto t0 = clock_type::now();
   if (out.ok) start.arrive_and_wait();  // release the run
-  if (out.ok && stall_ms > 0) {
+  if (out.ok && stall) {
     // Stall injection: the clients are running, their first ops are
-    // published, and nobody serves — long enough that their wait
-    // escalates past the whole spin/yield ladder into a park.
-    std::this_thread::sleep_for(std::chrono::milliseconds(stall_ms));
+    // published, and nobody serves until a waiter has escalated past
+    // the whole spin/yield ladder into a park. The deadline only
+    // bounds a client that never parks; the parks > 0 gate then fails.
+    const auto stall_deadline = t0 + std::chrono::seconds(10);
+    while (comb.park_stats().parks == 0 &&
+           clock_type::now() < stall_deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    out.stall_ms =
+        std::chrono::duration<double, std::milli>(clock_type::now() - t0)
+            .count();
   }
 
   // Serve until every child has exited. The server is the only
@@ -326,7 +339,7 @@ ScenarioResult run(const BenchParams& params) {
   const auto record = [&](const char* name, int phase_procs,
                           std::uint64_t offered_ops,
                           const std::optional<PhaseOutcome>& out,
-                          bool crash) {
+                          bool crash, bool stall = false) {
     PhaseMetrics pm;
     pm.phase = std::string(name) + " procs=" + std::to_string(phase_procs);
     if (!out.has_value()) {
@@ -348,6 +361,7 @@ ScenarioResult run(const BenchParams& params) {
         static_cast<double>(out->parking.spurious_wakes);
     pm.extra["futex_syscalls"] =
         static_cast<double>(out->parking.futex_syscalls);
+    if (stall) pm.extra["stall_ms"] = out->stall_ms;
     result.phases.push_back(std::move(pm));
     if (!out->ok) {
       ok = false;
@@ -368,14 +382,15 @@ ScenarioResult run(const BenchParams& params) {
   record("crash", procs, static_cast<std::uint64_t>(procs) * crash_ops,
          crashed, true);
 
-  // Stall phase: one client against a server that sleeps 100ms before
-  // serving. The client MUST park (spinning for 100ms would also pass
-  // the counting gates — the park counter is what distinguishes a
-  // waiter that yielded its core from one that burned it).
+  // Stall phase: one client against a server that withholds service
+  // until the client parks. The client MUST park (spinning through the
+  // stall would also pass the counting gates — the park counter is
+  // what distinguishes a waiter that yielded its core from one that
+  // burned it).
   const auto stalled = run_phase(base + "-c", /*procs=*/1, params.ops,
                                  params.shm_segment_bytes, /*crash=*/false,
-                                 /*stall_ms=*/100);
-  record("stall", 1, params.ops, stalled, false);
+                                 /*stall=*/true);
+  record("stall", 1, params.ops, stalled, false, /*stall=*/true);
   if (stalled.has_value() && stalled->ok && stalled->parking.parks == 0) {
     ok = false;
     if (why.empty()) why = "stalled client never parked";

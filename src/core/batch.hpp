@@ -21,14 +21,25 @@
 // scenario and combining_test pin this equivalence.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 
 #include "core/module.hpp"
-#include "core/slot_protocol.hpp"  // OpCompletion, SlotState
 #include "history/request.hpp"
 
 namespace scm {
+
+// Completion state of a batch slot, set by whoever assembled the
+// batch and consumed by whoever retires it (the combiner's writeback
+// pass). kAttached — the default, and the only state the blocking
+// paths ever see — means a publisher is (or will be) waiting to
+// collect the result, so the slot must be handed back. kDetached means
+// the publisher has already returned without a handle
+// (Combining::submit_detached): no one will ever collect, so the
+// executor retires the slot itself — runs the completion callback and
+// recycles the publication record directly.
+enum class OpCompletion : std::uint8_t { kAttached, kDetached };
 
 // One pending operation of a batch: the request, its upstream
 // initialization (std::nullopt for "not initialized", exactly as in

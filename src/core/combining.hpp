@@ -3,28 +3,34 @@
 // let ONE elected combiner execute everyone's pending requests through
 // the batch invocation path (core/batch.hpp).
 //
-// Combining<Obj, kSlots, Policy> is a combinator, not an algorithm:
-// each operation publishes its request into a cacheline-padded slot
-// (one release store), then either waits for a combiner to serve it or
-// — whenever the TAS-elected combiner lock is free — becomes the
-// combiner itself, draining every pending slot through
-// run_batch(obj, ...) in one pass. Under contention the composed-chain
-// walk that every process used to pay per operation is paid once per
-// batch by the combiner, which also keeps the wrapped object's cache
-// lines local to one core instead of bouncing them between all
-// publishers (Hendler/Incze/Shavit/Tzafrir's flat combining, applied
-// to the paper's composition chains).
+// Combining<Obj, kSlots> is a combinator, not an algorithm: each
+// operation either takes the free combiner gate and runs directly (a
+// batch of one, then serves whoever published meanwhile), or publishes
+// its request into a cacheline-padded slot and waits to be served,
+// electing itself combiner whenever the gate frees. Under contention
+// the composed-chain walk that every process used to pay per operation
+// is paid once per batch by the combiner, which also keeps the wrapped
+// object's cache lines local to one core instead of bouncing them
+// between all publishers (Hendler/Incze/Shavit/Tzafrir's flat
+// combining, applied to the paper's composition chains).
+//
+// The protocol itself — claim, publish, wait, collect, combine, the
+// gate — is SlotEngine (core/slot_protocol.hpp), the same engine the
+// cross-process ShmCombining runs. This wrapper fixes the engine's
+// wait scope (a process-private futex), its slot payload (the
+// submitter's completion callback), and the owner id (ctx.id() + 1),
+// and adds what only the in-process object offers: the runtime
+// election knob, the async surface and the native batch path.
 //
 // Semantics: the combiner executes the batch sequentially while
-// holding the election lock, so every operation — published or run on
-// the lock-free fast path — takes effect at one point inside its
-// invoke/return interval: the wrapped object's linearizability is
-// preserved, and a single-threaded caller gets bit-identical results
-// to invoking the object directly (combining_test and the
-// compose.batched scenario pin both properties). Note the combiner
-// executes published requests under its OWN context: per-op step
-// counters accrue to the serving thread, and requests carry their
-// issuer in Request::issuer.
+// holding the gate, so every operation — published or run directly —
+// takes effect at one point inside its invoke/return interval: the
+// wrapped object's linearizability is preserved, and a single-threaded
+// caller gets bit-identical results to invoking the object directly
+// (combining_test and the compose.batched scenario pin both
+// properties). Note the combiner executes published requests under its
+// OWN context: per-op step counters accrue to the serving thread, and
+// requests carry their issuer in Request::issuer.
 //
 // Combining forwards the module surface (invoke + kConsensusNumber,
 // plus stats()/commits_by() when Obj has them), so it is itself a
@@ -34,49 +40,30 @@
 // Async surface (core/async.hpp): a publication slot already is a
 // one-operation future, so submit() detaches the wait loop — it
 // publishes and returns a Ticket (or completes inline and returns a
-// ready ticket whenever the combiner lock is free), submit_detached()
-// publishes fire-and-forget with a combiner-run completion callback,
-// and drain() combines until no publication is pending. The ticket's
-// poll()/wait() complete the slot round trip the blocking invoke()
-// used to finish in place; wait() helps (the caller may elect itself
-// combiner), so progress never depends on other threads. Destroying a
-// Combining with any slot still occupied — an outstanding ticket, an
-// un-drained detached submission — is a checked error.
+// ready ticket whenever the gate is free), submit_detached() publishes
+// fire-and-forget with a combiner-run completion callback, and drain()
+// combines until no publication is pending. The ticket's poll()/wait()
+// complete the slot round trip the blocking invoke() finishes in
+// place; wait() helps (the caller may elect itself combiner), so
+// progress never depends on other threads. Destroying a Combining with
+// any slot still occupied — an outstanding ticket, an un-drained
+// detached submission — is a checked error.
 //
-// Platform note: publishers BLOCK on the combiner's progress, but the
-// blocking points all go through the wait_until() seam
-// (runtime/wait.hpp): native contexts climb the spin → yield → park
-// ladder against the wrapper's WaitPoint (support/parking.hpp) — the
-// combiner issues one batched wake per drained slot set, and the
-// uncontended fast path performs no futex syscall at all — while the
-// deterministic simulator parks the process on a wait predicate
-// (ignoring the WaitPoint) — so the blocking invoke() path runs under
-// SimPlatform and sim::explore enumerates its interleavings:
-// slot_protocol_explore_test checks linearizability and zero slot
-// residue over every schedule of 2 processes x 2 slots, at
-// elect_spins 1 and 0. The async surface is not explored: under the
-// simulator submit() completes inline, so publish-and-return,
-// detached retirement and drain() are covered by the native
-// combining_test/async_test stress suites only. Like SpinBarrier, the
-// unbounded spin loads are not counted as steps; the slot-claim and
-// pending-hint RMWs, the publish write, the result read, the
-// combiner-election RMW, and the combiner's slot scan/writeback are
-// (they are the algorithm's real per-operation shared-memory traffic).
-// The election lock's failed pre-test loads and release store are
-// uncounted as well: under the simulator each such access is adjacent
-// to a counted scheduling point, so no interleaving class is lost —
-// only equivalent schedules collapse, which is what keeps exhaustive
-// exploration tractable.
+// Verification: the blocking invoke() runs under the deterministic
+// simulator, and slot_protocol_explore_test enumerates its
+// interleavings (2 processes x 2 slots, at elect_spins 1 and 0). The
+// async surface is not explored: under the simulator submit()
+// completes inline, so publish-and-return, detached retirement and
+// drain() are covered by the native combining_test/async_test stress
+// suites only.
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <thread>
 #include <type_traits>
 #include <utility>
 
@@ -87,9 +74,7 @@
 #include "core/slot_protocol.hpp"
 #include "history/request.hpp"
 #include "runtime/ids.hpp"
-#include "runtime/wait.hpp"
 #include "support/assert.hpp"
-#include "support/backoff.hpp"
 #include "support/cacheline.hpp"
 #include "support/parking.hpp"
 
@@ -98,7 +83,8 @@ namespace scm {
 namespace detail {
 
 // The wrapper's own base objects are the publication registers plus a
-// TAS-elected combiner lock, so the composition's consensus number is
+// combiner gate used as a test-and-set lock (its CAS only ever fires
+// from free), so the composition's consensus number is
 // the max of the wrapped object's and TAS's.
 template <class Obj, class = void>
 struct CombiningConsensusBase {};
@@ -112,10 +98,18 @@ struct CombiningConsensusBase<Obj,
 
 }  // namespace detail
 
-template <class Obj, std::size_t kSlots, class Policy = ByThread>
+template <class Obj, std::size_t kSlots>
 class Combining : public detail::CombiningConsensusBase<Obj>,
                   public detail::ShardedDepthBase<Obj> {
-  static_assert(kSlots >= 1, "a combining wrapper needs at least one slot");
+  // The slot payload: the submitter's optional completion callback.
+  struct Completion {
+    CompletionFn fn = nullptr;
+    void* user = nullptr;
+    void operator()(const ModuleResult& r) const {
+      if (fn != nullptr) fn(user, r);
+    }
+  };
+  using Engine = SlotEngine<Obj, kSlots, FutexScope::kPrivate, Completion>;
 
  public:
   static constexpr std::size_t kSlotCount = kSlots;
@@ -127,13 +121,13 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
 
   Combining()
     requires std::is_default_constructible_v<Obj>
-      : obj_{} {}
+  = default;
 
   // In-place construction for wrapped objects with constructor
   // parameters (chains, pipelines of referenced modules).
   template <class... Args>
   explicit Combining(std::in_place_t, Args&&... args)
-      : obj_(std::in_place, std::forward<Args>(args)...) {}
+      : engine_(std::in_place, std::forward<Args>(args)...) {}
 
   Combining(const Combining&) = delete;
   Combining& operator=(const Combining&) = delete;
@@ -144,67 +138,24 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // an outstanding operation about to read freed memory, so it is a
   // checked error rather than undefined behaviour.
   ~Combining() {
-    for (auto& padded : slots_) {
-      SCM_CHECK_MSG(
-          padded.value.status.load(std::memory_order_acquire) == kFree,
-          "Combining destroyed with an occupied publication slot "
-          "(outstanding Ticket, or submit_detached without drain())");
-    }
+    SCM_CHECK_MSG(engine_.occupied() == 0,
+                  "Combining destroyed with an occupied publication slot "
+                  "(outstanding Ticket, or submit_detached without drain())");
   }
 
-  // Module surface: publish, then wait to be served or combine. The
-  // policy maps (context, request) to a publication slot — the same
-  // concept as shard routing, and ByThread (the default) gives every
-  // thread a private slot whenever threads <= kSlots. With more
-  // threads than slots, a colliding publisher waits for the slot
-  // owner's round trip (helping the combiner along, so the wait is
-  // bounded by its own progress even if the owner submitted
-  // asynchronously and is off doing something else).
+  // Module surface: run directly when the gate is free (a batch of
+  // one, then serve whoever published meanwhile), else publish into a
+  // slot and wait to be served, combining whenever the gate frees.
+  // With more threads than slots the claim rotates to any free record,
+  // and on exhaustion runs the op inline under the gate.
   template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
+    requires Composable<Obj, Ctx>
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt) {
-    // Fast path: the combiner lock is free — run the operation
-    // directly (a batch of one, no publication round trip), then
-    // serve anyone who published while we held the lock. At low
-    // contention this makes the wrapper cost one TAS + one scan; at
-    // high contention the lock is rarely free, so operations take the
-    // publication path below and get batched. How hard to fight for
-    // the lock here is the runtime elect_spins knob: 0 skips the
-    // election entirely (publish-and-batch mode).
-    if (try_elect(ctx)) return run_direct(ctx, m, init);
-
-    // The slot policy is consulted on the publication path only (the
-    // fast path touches no slot); a load-tracking policy's counters
-    // therefore see published ops, and its on_complete hook fires
-    // after the slot round trip below. When the array is exhausted,
-    // claim_or_run executes the operation inline instead.
-    ModuleResult inline_result;
-    const auto idx = claim_or_run(ctx, m, init, &inline_result);
-    if (!idx.has_value()) return inline_result;
-    Slot& slot = slots_[*idx].value;
-    publish(ctx, slot, m, init, /*detached=*/false, nullptr, nullptr);
-
-    // Wait to be served, electing ourselves combiner whenever the lock
-    // is free (test-and-test-and-set). Our own slot is pending
-    // throughout, so our combine() pass serves at least ourselves. The
-    // wait parks until something can have changed: our slot completed,
-    // or the lock freed and we should re-attempt the election.
-    for (;;) {
-      if (slot.status.load(std::memory_order_acquire) == kDone) break;
-      if (help_combine(ctx)) continue;
-      wait_until(
-          ctx,
-          [this, &slot] {
-            return slot.status.load(std::memory_order_relaxed) == kDone ||
-                   !lock_.value.load(std::memory_order_relaxed);
-          },
-          waiters_.value);
-    }
-    return collect(ctx, *idx);
+    return engine_.invoke(ctx, caller(ctx), m, init);
   }
 
-  // Native batch path (BatchInvocable): one combiner election serves
+  // Native batch path (BatchInvocable): one gate acquisition serves
   // the WHOLE caller-provided batch — plus anything published
   // meanwhile — instead of paying one publication round trip per op.
   // This is what lets an outer grouping layer (Sharded::invoke_batch
@@ -214,49 +165,37 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // this way count as direct (no publication), keeping
   // direct_ops() + combined_ops() == total invocations.
   template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
+    requires Composable<Obj, Ctx>
   void invoke_batch(Ctx& ctx, std::span<OpSlot> batch) {
-    if (batch.empty()) return;
     std::uint64_t live = 0;
     for (const OpSlot& slot : batch) live += slot.done ? 0 : 1;
     if (live == 0) return;
-    while (!try_lock(ctx)) {
-      wait_until(
-          ctx,
-          [this] { return !lock_.value.load(std::memory_order_relaxed); },
-          waiters_.value);
-    }
-    run_batch(obj_.value, ctx, batch);
-    bump(direct_ops_, live);
-    combine(ctx);
-    lock_.value.store(false, std::memory_order_release);
-    waiters_.value.wake_all();
+    engine_.lock_gate(ctx, owner_of(ctx));
+    engine_.run_held(ctx, live, [&](Obj& o) { run_batch(o, ctx, batch); });
   }
 
   // ---- async surface (core/async.hpp).
 
-  // Publish-and-return. On the uncontended fast path (combiner lock
-  // free) the operation completes inline — a batch of one, exactly
-  // invoke()'s fast path — and the ticket is born ready, so
-  // submit().wait() costs what invoke() costs and returns bit-identical
-  // results. Otherwise the request is published and the wait loop is
-  // detached into the returned Ticket: poll() checks the slot, wait()
-  // helps combine, and whichever completes first consumes the round
-  // trip. When the publication array is exhausted (every record held
-  // by an uncollected ticket) the operation completes inline under
-  // the combiner lock instead — see claim_or_run — so submission
-  // never blocks on ticket holders. The optional completion callback
-  // runs on the thread that finalizes the operation — the combiner
-  // for published ops, the caller on inline paths — and on EVERY path
-  // it fires with the election lock held, right at the op's
-  // serialization point: callbacks across the whole object fire in
-  // linearization order (the caching combinator's invalidation/refill
-  // depends on this), and callbacks must never re-enter this
-  // Combining. On non-blocking platforms (the step-granting
-  // simulator) publication round trips cannot run, so submit()
-  // degenerates to invoke() plus a ready ticket.
+  // Publish-and-return. On the uncontended fast path (gate free) the
+  // operation completes inline — a batch of one, exactly invoke()'s
+  // fast path — and the ticket is born ready, so submit().wait() costs
+  // what invoke() costs and returns bit-identical results. Otherwise
+  // the request is published and the wait loop is detached into the
+  // returned Ticket: poll() checks the slot, wait() helps combine, and
+  // whichever completes first consumes the round trip. When every
+  // record is held by an uncollected ticket the operation completes
+  // inline under the gate instead, so submission never blocks on
+  // ticket holders. The optional completion callback runs on the
+  // thread that executes the operation — the combiner for published
+  // ops, the caller on inline paths — and on EVERY path with the gate
+  // held, right at the op's serialization point: callbacks across the
+  // whole object fire in linearization order (the caching combinator's
+  // invalidation/refill depends on this), and callbacks must never
+  // re-enter this Combining. On non-blocking platforms (the
+  // step-granting simulator) publication round trips cannot run, so
+  // submit() degenerates to invoke() plus a ready ticket.
   template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
+    requires Composable<Obj, Ctx>
   Ticket<ModuleResult> submit(Ctx& ctx, const Request& m,
                               std::optional<SwitchValue> init = std::nullopt,
                               CompletionFn completion = nullptr,
@@ -268,7 +207,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     } else {
       ModuleResult r;
       const auto idx =
-          submit_impl(ctx, m, init, /*detached=*/false, completion, user, &r);
+          engine_.submit(ctx, caller(ctx), m, init, OpCompletion::kAttached,
+                         Completion{completion, user}, &r);
       if (!idx.has_value()) return Ticket<ModuleResult>::ready(r);
       return Ticket<ModuleResult>(
           &ticket_source<Ctx>(), this,
@@ -284,7 +224,7 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // detached submissions survive until some thread combines: callers
   // must drain() (or keep the object busy) before destruction.
   template <class Ctx>
-    requires Composable<Obj, Ctx> && ShardRoutingPolicy<Policy, Ctx>
+    requires Composable<Obj, Ctx>
   void submit_detached(Ctx& ctx, const Request& m,
                        std::optional<SwitchValue> init = std::nullopt,
                        CompletionFn completion = nullptr,
@@ -294,8 +234,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       if (completion != nullptr) completion(user, r);
     } else {
       ModuleResult r;
-      (void)submit_impl(ctx, m, init, /*detached=*/true, completion, user,
-                        &r);
+      (void)engine_.submit(ctx, caller(ctx), m, init, OpCompletion::kDetached,
+                           Completion{completion, user}, &r);
     }
   }
 
@@ -303,69 +243,49 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
   // every operation submitted (by any thread) before the call has been
   // EXECUTED — attached slots sit in kDone awaiting their ticket,
   // detached slots are fully retired. It does not wait for other
-  // threads to collect their tickets. A no-op on non-blocking
-  // platforms, where nothing can be pending.
+  // threads to collect their tickets.
   template <class Ctx>
   void drain(Ctx& ctx) {
-    if constexpr (detail::context_can_block_v<Ctx>) {
-      // Acquire: pairs with the combiner's release decrement, so the
-      // zero observation carries every served op's effects with it.
-      while (pending_hint_.value.load(std::memory_order_acquire) != 0) {
-        if (help_combine(ctx)) continue;
-        wait_until(
-            ctx,
-            [this] {
-              return pending_hint_.value.load(std::memory_order_relaxed) ==
-                         0 ||
-                     !lock_.value.load(std::memory_order_relaxed);
-            },
-            waiters_.value);
-      }
-    } else {
-      (void)ctx;
-    }
+    engine_.drain(ctx, owner_of(ctx));
   }
 
-  [[nodiscard]] Obj& object() noexcept { return obj_.value; }
-  [[nodiscard]] const Obj& object() const noexcept { return obj_.value; }
-
-  // The slot policy instance, for inspection (e.g. ByLeastLoaded's
-  // in-flight counters — consulted on the publication path only).
-  [[nodiscard]] Policy& policy() noexcept { return policy_; }
-  [[nodiscard]] const Policy& policy() const noexcept { return policy_; }
+  [[nodiscard]] Obj& object() noexcept { return engine_.object(); }
+  [[nodiscard]] const Obj& object() const noexcept { return engine_.object(); }
 
   // ---- combining telemetry (relaxed; written only by combiners).
 
   // Number of combiner passes that served at least one operation.
   [[nodiscard]] std::uint64_t combine_rounds() const noexcept {
-    return rounds_.load(std::memory_order_relaxed);
+    return engine_.combine_rounds();
   }
   // Operations served across all passes; divided by combine_rounds()
   // this is the achieved batch size — the amortization factor.
   [[nodiscard]] std::uint64_t combined_ops() const noexcept {
-    return batched_ops_.load(std::memory_order_relaxed);
+    return engine_.combined_ops();
   }
-  // Operations that took the uncontended fast path (lock free, no
-  // publication). direct_ops() + combined_ops() == total invocations.
+  // Operations run directly under the gate (no publication).
+  // direct_ops() + combined_ops() == total invocations.
   [[nodiscard]] std::uint64_t direct_ops() const noexcept {
-    return direct_ops_.load(std::memory_order_relaxed);
+    return engine_.direct_ops();
   }
 
-  // Park/wake telemetry from the wrapper's WaitPoint (rung-3 waits).
+  // Park/wake telemetry from the engine's WaitPoint (rung-3 waits).
   // futex_syscalls stays zero as long as every operation completed
   // before any waiter's backoff ladder saturated — in particular, a
   // pure fast-path run performs NO futex syscalls (compose.async
   // asserts exactly that for its fastpath_share == 1 phases).
   [[nodiscard]] ParkStats park_stats() const noexcept {
-    return waiters_.value.stats();
+    return engine_.wait_point().stats();
   }
 
   // ---- runtime actuators (core/adaptive.hpp drives these; both are
   // relaxed hints, safe to flip while operations are in flight).
 
-  // Election attempts a per-op entry point makes before conceding to
-  // the publication path. 1 = historical TAS fast path (the default);
-  // 0 = publish-and-batch mode.
+  // Gate attempts a per-op entry point makes before conceding to the
+  // publication path. 1 = the direct fast path (the default); 0 =
+  // publish-and-batch mode. The slow path still takes the gate to
+  // combine or to run inline on slot exhaustion, so progress never
+  // depends on this knob.
   void set_elect_spins(std::uint32_t n) noexcept {
     elect_spins_.value.store(n, std::memory_order_relaxed);
   }
@@ -375,24 +295,23 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
 
   // Wait-rung selection for every blocking site in this wrapper: how
   // many yields a saturated waiter climbs before its first park
-  // (forwarded to the wrapper's WaitPoint).
+  // (forwarded to the engine's WaitPoint).
   void set_yields_before_park(int n) noexcept {
-    waiters_.value.set_yields_before_park(n);
+    engine_.wait_point().set_yields_before_park(n);
   }
   [[nodiscard]] int yields_before_park() const noexcept {
-    return waiters_.value.yields_before_park();
+    return engine_.wait_point().yields_before_park();
   }
 
-  // Publication records not currently kFree — the slot-residue probe
-  // (mirrors ShmCombining::occupied()). Zero once every invoke has
-  // returned, every ticket is collected, and detached work is drained;
-  // the explorer asserts exactly that after every explored schedule.
+  // Publication records not currently kFree — the slot-residue probe.
+  // Zero once every invoke has returned, every ticket is collected,
+  // and detached work is drained.
   [[nodiscard]] std::size_t occupied() const noexcept {
-    std::size_t n = 0;
-    for (const auto& padded : slots_) {
-      if (padded.value.status.load(std::memory_order_acquire) != kFree) ++n;
-    }
-    return n;
+    return engine_.occupied();
+  }
+  // Owner id (ctx.id() + 1) of the current gate holder; 0 = free.
+  [[nodiscard]] std::uint32_t gate_holder() const noexcept {
+    return engine_.gate_holder();
   }
 
   // ---- forwarded statistics surfaces (enabled exactly when the
@@ -404,306 +323,42 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
       { o.stats(j) } -> std::same_as<PipelineStageStats>;
     }
   {
-    return obj_.value.stats(i);
+    return object().stats(i);
   }
 
   void reset_stats() noexcept
     requires requires(Obj& o) { o.reset_stats(); }
   {
-    obj_.value.reset_stats();
+    object().reset_stats();
   }
 
   [[nodiscard]] std::uint64_t commits_by(ProcessId pid, std::size_t i) const
     requires requires(const Obj& o, std::size_t j) { o.commits_by(pid, j); }
   {
-    return obj_.value.commits_by(pid, i);
+    return object().commits_by(pid, i);
   }
 
   [[nodiscard]] int consensus_number() const
     requires requires(const Obj& o) { o.consensus_number(); }
   {
-    return std::max(obj_.value.consensus_number(), kConsensusNumberTas);
+    return std::max(object().consensus_number(), kConsensusNumberTas);
   }
 
  private:
-  // Publication slot lifecycle (shared with the cross-process
-  // ShmCombining via core/slot_protocol.hpp): kFree -> kClaimed
-  // (publisher owns the record) -> kPending (request visible to
-  // combiners) -> kDone (result visible to the publisher) -> kFree.
-  static constexpr SlotState kFree = SlotState::kFree;
-  static constexpr SlotState kClaimed = SlotState::kClaimed;
-  static constexpr SlotState kPending = SlotState::kPending;
-  static constexpr SlotState kDone = SlotState::kDone;
-
-  struct Slot {
-    std::atomic<SlotState> status{kFree};
-    Request request;
-    std::optional<SwitchValue> init;
-    ModuleResult result;
-    // Async publication extras, plain fields ordered by the kPending
-    // release store like request/init: detached marks fire-and-forget
-    // records (the server retires them — no kDone handback), and
-    // completion/user is the optional callback the finalizing thread
-    // runs.
-    bool detached = false;
-    CompletionFn completion = nullptr;
-    void* user = nullptr;
-  };
-
-  // Routes (context, request) to a publication slot, range-checked.
+  // Owner ids are ctx.id() + 1, so 0 keeps meaning "unowned".
   template <class Ctx>
-  std::size_t route_slot(Ctx& ctx, const Request& m) {
-    const std::size_t idx = policy_(ctx, m, kSlots);
-    SCM_CHECK_MSG(idx < kSlots, "slot policy produced an out-of-range slot");
-    return idx;
+  static std::uint32_t owner_of(const Ctx& ctx) noexcept {
+    return static_cast<std::uint32_t>(ctx.id()) + 1;
   }
 
-  // Tries to elect the caller combiner (test-and-test-and-set); the
-  // winning exchange is the counted RMW. The caller owns the lock on
-  // success and must release it.
   template <class Ctx>
-  bool try_lock(Ctx& ctx) {
-    if (!lock_.value.load(std::memory_order_relaxed) &&
-        !lock_.value.exchange(true, std::memory_order_acquire)) {
-      ctx.on_rmw();
-      return true;
-    }
-    return false;
-  }
-
-  // The knob-gated election used by the PER-OP entry points (invoke,
-  // submit): up to elect_spins election attempts with a pause between
-  // them. The default of 1 is bit-identical to the historical single
-  // TAS; 0 turns the direct fast path off entirely, so every
-  // contended op publishes and amortizes into a combiner batch —
-  // what the adaptive layer selects under sustained contention.
-  // Internal liveness sites (claim_or_run's exhaustion fallback,
-  // help_combine, invoke_batch) deliberately keep the raw try_lock:
-  // at elect_spins == 0 someone must still be able to take the lock
-  // or nothing would ever combine.
-  template <class Ctx>
-  bool try_elect(Ctx& ctx) {
-    const std::uint32_t attempts =
-        elect_spins_.value.load(std::memory_order_relaxed);
-    for (std::uint32_t a = 0; a < attempts; ++a) {
-      if (try_lock(ctx)) return true;
-      cpu_pause();
-    }
-    return false;
-  }
-
-  // On a won election, runs one combine pass and releases the lock.
-  // Every wait loop calls this so a stuck publication can always be
-  // served by whoever is waiting on it — with async submitters in the
-  // mix, the slot's owner may long since have returned.
-  template <class Ctx>
-  bool help_combine(Ctx& ctx) {
-    if (!try_lock(ctx)) return false;
-    combine(ctx);
-    lock_.value.store(false, std::memory_order_release);
-    // One batched wake per drained slot set: covers every waiter class
-    // at once — slots that turned kDone above, lock-waiters, and
-    // drain()ers that saw the pending count hit zero.
-    waiters_.value.wake_all();
-    return true;
-  }
-
-  // Pre: combiner lock held. Runs one operation directly — a batch of
-  // one, no publication round trip — serves whatever published
-  // meanwhile, and releases the lock. The shared body of the
-  // uncontended fast path and the slot-exhaustion fallback below.
-  //
-  // The completion callback (when given) fires immediately after the
-  // op executes, still under the election lock — the same point in
-  // the serialization order where a combiner fires published ops'
-  // callbacks. That uniformity is load-bearing for layers that react
-  // to completions (the caching combinator's invalidation/refill):
-  // callbacks across ALL paths fire in linearization order, so a
-  // completion-observer sees object states in the order they took
-  // effect. The corollary holds on every path too: callbacks must not
-  // re-enter this Combining.
-  template <class Ctx>
-  ModuleResult run_direct(Ctx& ctx, const Request& m,
-                          std::optional<SwitchValue> init,
-                          CompletionFn completion = nullptr,
-                          void* user = nullptr) {
-    const ModuleResult r = scm::apply(obj_.value, ctx, m, init);
-    if (completion != nullptr) completion(user, r);
-    bump(direct_ops_, 1);
-    combine(ctx);
-    lock_.value.store(false, std::memory_order_release);
-    // Uncontended cost of this wake: one fence + one relaxed load —
-    // no RMW, no syscall unless somebody actually parked.
-    waiters_.value.wake_all();
-    return r;
-  }
-
-  // One rotation over the publication array attempting to claim a free
-  // record (kFree -> kClaimed; the successful CAS is the counted RMW),
-  // starting at the policy's hint. Non-blocking: nullopt when every
-  // record is busy.
-  template <class Ctx>
-  std::optional<std::size_t> try_claim_rotation(Ctx& ctx, std::size_t hint) {
-    for (std::size_t k = 0; k < kSlots; ++k) {
-      const std::size_t idx =
-          hint + k < kSlots ? hint + k : hint + k - kSlots;
-      Slot& slot = slots_[idx].value;
-      SlotState expected = kFree;
-      if (slot.status.load(std::memory_order_relaxed) == kFree &&
-          slot.status.compare_exchange_strong(expected, kClaimed,
-                                              std::memory_order_acquire,
-                                              std::memory_order_relaxed)) {
-        ctx.on_rmw();
-        return idx;
-      }
-    }
-    return std::nullopt;
-  }
-
-  // Shared body of submit/submit_detached on blocking platforms:
-  // completes the operation inline — fast path or exhaustion fallback,
-  // with the callback fired under the election lock inside run_direct,
-  // returning nullopt with *out filled — or claims AND publishes a
-  // record, returning its index (the callback then travels with the
-  // publication and the serving combiner fires it, likewise under the
-  // lock).
-  template <class Ctx>
-  std::optional<std::size_t> submit_impl(Ctx& ctx, const Request& m,
-                                         std::optional<SwitchValue> init,
-                                         bool detached,
-                                         CompletionFn completion, void* user,
-                                         ModuleResult* out) {
-    if (try_elect(ctx)) {
-      *out = run_direct(ctx, m, init, completion, user);
-      return std::nullopt;
-    }
-    const auto idx = claim_or_run(ctx, m, init, out, completion, user);
-    if (idx.has_value()) {
-      publish(ctx, slots_[*idx].value, m, init, detached, completion, user);
-      return idx;
-    }
-    return std::nullopt;
-  }
-
-  // Either claims a publication record for (m, init) — returning its
-  // index, publication left to the caller — or executes the operation
-  // inline under the combiner lock, returning nullopt with *out
-  // filled.
-  //
-  // The inline fallback is what keeps async submission LIVE: a kDone
-  // record frees only when its owner polls, and under async submission
-  // every owner of every record can simultaneously be stuck in a claim
-  // loop (none of them can collect its own tickets from there), so
-  // waiting for a record to free can deadlock the whole group. The
-  // combiner lock, by contrast, always frees in bounded time (holders
-  // run one bounded pass and release), so "serve yourself as a batch
-  // of one" is always reachable. Stateless policies treat the routed
-  // slot as a HINT and rotate (any record serves a publication
-  // equally); load-tracking policies (on_complete) need the claimed
-  // index to equal the routed index or their per-slot counters skew,
-  // so for them a busy routed record goes straight to the inline
-  // fallback instead of waiting.
-  template <class Ctx>
-  std::optional<std::size_t> claim_or_run(Ctx& ctx, const Request& m,
-                                          std::optional<SwitchValue> init,
-                                          ModuleResult* out,
-                                          CompletionFn completion = nullptr,
-                                          void* user = nullptr) {
-    const std::size_t hint = route_slot(ctx, m);
-    for (;;) {
-      if constexpr (requires(Policy& p) { p.on_complete(hint); }) {
-        Slot& slot = slots_[hint].value;
-        SlotState expected = kFree;
-        if (slot.status.load(std::memory_order_relaxed) == kFree &&
-            slot.status.compare_exchange_strong(expected, kClaimed,
-                                                std::memory_order_acquire,
-                                                std::memory_order_relaxed)) {
-          ctx.on_rmw();
-          return hint;
-        }
-      } else {
-        if (const auto idx = try_claim_rotation(ctx, hint)) return idx;
-      }
-      if (try_lock(ctx)) {
-        *out = run_direct(ctx, m, init, completion, user);
-        // The routed record was never used: balance a load-tracking
-        // policy's in-flight increment from route_slot, or its
-        // counters drift up on every inline fallback.
-        if constexpr (requires(Policy& p) { p.on_complete(hint); }) {
-          policy_.on_complete(hint);
-        }
-        return std::nullopt;
-      }
-      // Nothing claimable and the lock is held: park until a record
-      // (the routed one for load-tracking policies, any for stateless
-      // ones) frees or the lock does, then retry the races above.
-      wait_until(
-          ctx,
-          [this, hint] {
-            if (!lock_.value.load(std::memory_order_relaxed)) return true;
-            if constexpr (requires(Policy& p) { p.on_complete(hint); }) {
-              return slots_[hint].value.status.load(
-                         std::memory_order_relaxed) == kFree;
-            } else {
-              for (const auto& padded : slots_) {
-                if (padded.value.status.load(std::memory_order_relaxed) ==
-                    kFree) {
-                  return true;
-                }
-              }
-              return false;
-            }
-          },
-          waiters_.value);
-    }
-  }
-
-  // Publishes into a claimed record: the request/init/callback fields
-  // are plain writes ordered by the release store of kPending — the
-  // operation's one mandatory shared-memory step on this path. The
-  // pending hint lets an uncontended combiner skip the slot scan
-  // entirely; incremented before the slot turns pending so the count
-  // is conservative (never zero while a publication is visible), and
-  // decremented by whichever combiner serves the op.
-  template <class Ctx>
-  void publish(Ctx& ctx, Slot& slot, const Request& m,
-               std::optional<SwitchValue> init, bool detached,
-               CompletionFn completion, void* user) {
-    slot.request = m;
-    slot.init = init;
-    slot.detached = detached;
-    slot.completion = completion;
-    slot.user = user;
-    ctx.on_rmw();
-    pending_hint_.value.fetch_add(1, std::memory_order_relaxed);
-    ctx.on_write();
-    slot.status.store(kPending, std::memory_order_release);
-  }
-
-  // Consumes a kDone slot: reads the result, recycles the record, and
-  // fires the slot policy's completion hook — the publication round
-  // trip is over, mirroring Sharded::invoke. Compiled out for
-  // stateless policies.
-  template <class Ctx>
-  ModuleResult collect(Ctx& ctx, std::size_t idx) {
-    Slot& slot = slots_[idx].value;
-    ctx.on_read();
-    const ModuleResult r = slot.result;
-    slot.status.store(kFree, std::memory_order_release);
-    // A freed record is what claim_or_run's exhaustion wait is parked
-    // on; collect runs on the publisher (the slow path already), so
-    // the wake's fence rides an existing round trip.
-    waiters_.value.wake_all();
-    if constexpr (requires(Policy& p) { p.on_complete(idx); }) {
-      policy_.on_complete(idx);
-    }
-    return r;
+  SlotCaller caller(const Ctx& ctx) const noexcept {
+    return SlotCaller{owner_of(ctx), elect_spins(), /*may_combine=*/true};
   }
 
   // ---- ticket plumbing: the type-erased completion source bound into
-  // every pending Ticket. `slot` carries the publication slot INDEX
-  // (as a uintptr), not a pointer — collect() needs the index for the
-  // policy hook anyway.
+  // every pending Ticket. `slot` carries the publication record's
+  // INDEX (as a uintptr), not a pointer.
 
   template <class Ctx>
   static bool ticket_poll(void* source, void* slot, void* ctx,
@@ -711,12 +366,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     auto* self = static_cast<Combining*>(source);
     const auto idx =
         static_cast<std::size_t>(reinterpret_cast<std::uintptr_t>(slot));
-    Ctx& c = *static_cast<Ctx*>(ctx);
-    if (self->slots_[idx].value.status.load(std::memory_order_acquire) !=
-        kDone) {
-      return false;
-    }
-    *out = self->collect(c, idx);
+    if (!self->engine_.is_done(idx)) return false;
+    *out = self->engine_.collect(*static_cast<Ctx*>(ctx), idx);
     return true;
   }
 
@@ -727,19 +378,8 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     const auto idx =
         static_cast<std::size_t>(reinterpret_cast<std::uintptr_t>(slot));
     Ctx& c = *static_cast<Ctx*>(ctx);
-    Slot& s = self->slots_[idx].value;
-    for (;;) {
-      if (s.status.load(std::memory_order_acquire) == kDone) break;
-      if (self->help_combine(c)) continue;
-      wait_until(
-          c,
-          [self, &s] {
-            return s.status.load(std::memory_order_relaxed) == kDone ||
-                   !self->lock_.value.load(std::memory_order_relaxed);
-          },
-          self->waiters_.value);
-    }
-    *out = self->collect(c, idx);
+    self->engine_.wait_done(c, self->caller(c), idx);
+    *out = self->engine_.collect(c, idx);
   }
 
   template <class Ctx>
@@ -749,89 +389,10 @@ class Combining : public detail::CombiningConsensusBase<Obj>,
     return kSource;
   }
 
-  // One combiner pass: snapshot the pending slots into a batch, drive
-  // it through the wrapped object's batch path (specialized for
-  // pipelines: one stage-major walk, bulk stats), then publish each
-  // result back to its slot. Runs with the combiner lock held.
-  template <class Ctx>
-  void combine(Ctx& ctx) {
-    // Nothing published (the common fast-path case): one cached load
-    // instead of a kSlots-line scan. A publication that lands after
-    // this check is not lost — its publisher retries the lock itself.
-    if (pending_hint_.value.load(std::memory_order_relaxed) == 0) return;
-
-    std::array<OpSlot, kSlots> batch;
-    std::array<std::size_t, kSlots> owner{};
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < kSlots; ++i) {
-      Slot& s = slots_[i].value;
-      if (s.status.load(std::memory_order_acquire) != kPending) continue;
-      ctx.on_read();
-      batch[n].request = s.request;
-      batch[n].init = s.init;
-      batch[n].done = false;
-      batch[n].completion =
-          s.detached ? OpCompletion::kDetached : OpCompletion::kAttached;
-      owner[n] = i;
-      ++n;
-    }
-    if (n == 0) return;
-
-    run_batch(obj_.value, ctx, std::span<OpSlot>(batch.data(), n));
-
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot& s = slots_[owner[i]].value;
-      // The finalizing thread runs the publisher's callback, with the
-      // election lock held — callbacks must not re-enter this wrapper.
-      if (s.completion != nullptr) s.completion(s.user, batch[i].result);
-      if (batch[i].completion == OpCompletion::kDetached) {
-        // Fire-and-forget: no collector will ever come for this
-        // record, so retire it in place and complete the slot policy's
-        // round trip ourselves.
-        ctx.on_write();
-        s.status.store(kFree, std::memory_order_release);
-        if constexpr (requires(Policy& p) { p.on_complete(owner[i]); }) {
-          policy_.on_complete(owner[i]);
-        }
-      } else {
-        s.result = batch[i].result;
-        ctx.on_write();
-        s.status.store(kDone, std::memory_order_release);
-      }
-    }
-    // Release: pairs with drain()'s acquire load, so a drainer that
-    // observes zero pending also observes every served operation's
-    // effects (detached callbacks included).
-    pending_hint_.value.fetch_sub(static_cast<std::uint64_t>(n),
-                                  std::memory_order_release);
-    bump(rounds_, 1);
-    bump(batched_ops_, n);
-  }
-
-  // The telemetry counters are written only by the combiner-lock
-  // holder (the lock's acquire/release orders successive holders), so
-  // a relaxed load + store counts exactly without a locked RMW.
-  static void bump(std::atomic<std::uint64_t>& counter,
-                   std::uint64_t n) noexcept {
-    counter.store(counter.load(std::memory_order_relaxed) + n,
-                  std::memory_order_relaxed);
-  }
-
-  std::array<Padded<Slot>, kSlots> slots_;
-  Padded<std::atomic<bool>> lock_{};  // combiner election (TAS)
-  Padded<std::atomic<std::uint64_t>> pending_hint_{};
-  // Rung-3 parking for every wait loop above (process-private futex).
-  // One point for the whole wrapper: wakes are per-combine-pass, not
-  // per-slot, so a finer grain would buy nothing but syscalls.
-  Padded<WaitPoint<>> waiters_{};
   // Read-mostly election knob on its own line: every per-op entry
   // loads it; only adaptive reconfigurations write it.
   Padded<std::atomic<std::uint32_t>> elect_spins_{std::in_place, 1u};
-  Padded<Obj> obj_;
-  std::atomic<std::uint64_t> rounds_{0};
-  std::atomic<std::uint64_t> batched_ops_{0};
-  std::atomic<std::uint64_t> direct_ops_{0};
-  [[no_unique_address]] Policy policy_{};
+  Engine engine_;
 };
 
 }  // namespace scm

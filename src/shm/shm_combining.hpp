@@ -1,22 +1,21 @@
-// ShmCombining — the flat-combining wrapper rebuilt for a shared
+// ShmCombining — the flat-combining wrapper placed in a shared
 // segment, so INDEPENDENT PROCESSES submit operations into one
 // combiner the way threads submit into core/combining.hpp.
 //
-// The insight carried over from the in-process wrapper: a publication
-// slot is already a wait-free mailbox. Nothing about the
-// kFree → kClaimed → kPending → kDone protocol (core/slot_protocol.hpp
-// — shared with Combining, enforced by static_assert in shm_test)
-// depends on a virtual address: the slot array, the gate word, and the
-// wrapped object all live inline in this object, which itself lives at
-// an arena offset, and every synchronization word is a lock-free
-// std::atomic — address-free, so acquire/release pairs order accesses
-// between different processes' mappings of the same physical lines.
-// Ticket-style completion polls therefore work cross-process: poll the
-// slot's word for kDone, exactly like Ticket::poll does in-process.
+// Both wrappers run the same SlotEngine (core/slot_protocol.hpp): the
+// claim, publish, wait, collect, combine and gate code is written once
+// there. Nothing in it depends on a virtual address: the slot array,
+// the gate word, and the wrapped object all live inline in the engine,
+// which lives at an arena offset, and every synchronization word is a
+// lock-free std::atomic — address-free, so acquire/release pairs order
+// accesses between different processes' mappings of the same physical
+// lines. This wrapper fixes what a segment needs: a kShared futex
+// scope, an empty slot payload (no pointer is ever stored in a slot),
+// and the owner id.
 //
-// What IS new is the failure domain. A thread cannot vanish
-// mid-publication; a process can (SIGKILL, OOM kill). Two mechanisms
-// absorb that:
+// What is new across processes is the failure domain. A thread cannot
+// vanish mid-publication; a process can (SIGKILL, OOM kill). Two
+// engine mechanisms absorb that:
 //
 //   - Every slot word packs {state, owner PID} into ONE atomic u64
 //     (state low half, pid high half — pack_slot in
@@ -48,15 +47,13 @@
 // per kill. A combiner dying mid-batch would instead leave the wrapped
 // object's state ahead of any count — unrecoverable without undo logs.
 //
-// The same class runs under the deterministic simulator. Every wait
-// goes through wait_until (runtime/wait.hpp), which parks a SimContext
-// on its predicate, and the owner id comes from the context: the pid
-// natively, ctx.id() + 1 under an awaitable context, where
-// reclaim_dead takes its liveness predicate from the caller.
-// slot_protocol_explore_test enumerates every interleaving of this
-// code and sweeps a crash fault over every step of a dying publisher
-// and of a dying combiner, so the protocol that ships is the protocol
-// that is model-checked.
+// The same class runs under the deterministic simulator. The owner id
+// comes from the context: the pid natively, ctx.id() + 1 under an
+// awaitable context, where reclaim_dead takes its liveness predicate
+// from the caller. slot_protocol_explore_test enumerates every
+// interleaving of this code and sweeps a crash fault over every step
+// of a dying publisher and of a dying combiner, so the protocol that
+// ships is the protocol that is model-checked.
 #pragma once
 
 #include "shm/shm_arena.hpp"  // platform gate: defines SCM_HAS_POSIX_SHM
@@ -66,25 +63,19 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <type_traits>
+#include <utility>
 
-#include "core/batch.hpp"
 #include "core/module.hpp"
 #include "core/slot_protocol.hpp"
 #include "history/request.hpp"
-#include "runtime/ids.hpp"
 #include "runtime/wait.hpp"
 #include "shm/shm_layout.hpp"
-#include "support/assert.hpp"
-#include "support/backoff.hpp"
-#include "support/cacheline.hpp"
 #include "support/parking.hpp"
 
 namespace scm {
@@ -98,24 +89,10 @@ inline bool shm_process_alive(std::uint32_t pid) noexcept {
 
 template <class Obj, std::size_t kSlots>
 class ShmCombining {
-  static_assert(kSlots >= 1, "a combining wrapper needs at least one slot");
   static_assert(std::is_trivially_destructible_v<Obj>,
                 "segment-resident objects are never destroyed in-place");
 
-  // One publication record, padded to a cache line so distinct
-  // processes publish on distinct lines. The word packs
-  // {SlotState, owner pid}; request/init/result are plain fields
-  // ordered by the word's release stores exactly as in the in-process
-  // Slot — except init is (has_init, value) rather than std::optional,
-  // which is not guaranteed segment-safe layout.
-  struct alignas(kCacheLineSize) Slot {
-    std::atomic<std::uint64_t> word{0};  // pack_slot(kFree, 0)
-    Request request{};
-    SwitchValue init_value = 0;
-    ModuleResult result{};
-    bool has_init = false;
-  };
-  SCM_ASSERT_ADDRESS_FREE(Slot);
+  using Engine = SlotEngine<Obj, kSlots, FutexScope::kShared, NoSlotPayload>;
 
  public:
   static constexpr std::size_t kSlotCount = kSlots;
@@ -137,8 +114,8 @@ class ShmCombining {
     for (std::uint64_t v :
          {std::uint64_t{kSlotProtocolVersion}, std::uint64_t{kSlots},
           std::uint64_t{sizeof(Obj)}, std::uint64_t{alignof(Obj)},
-          std::uint64_t{sizeof(Slot)}, std::uint64_t{sizeof(Request)},
-          std::uint64_t{sizeof(ModuleResult)},
+          std::uint64_t{sizeof(typename Engine::Slot)},
+          std::uint64_t{sizeof(Request)}, std::uint64_t{sizeof(ModuleResult)},
           std::uint64_t{sizeof(WaitPoint<FutexScope::kShared>)}}) {
       for (int b = 0; b < 8; ++b) {
         h ^= static_cast<std::uint32_t>((v >> (8 * b)) & 0xff);
@@ -165,55 +142,8 @@ class ShmCombining {
   ModuleResult invoke(Ctx& ctx, const Request& m,
                       std::optional<SwitchValue> init = std::nullopt,
                       bool may_combine = true) {
-    const std::uint32_t self = owner_of(ctx);
-    // Fast path: gate free — run directly (a batch of one), serve
-    // whatever published meanwhile, release.
-    if (may_combine && try_gate(ctx, self)) {
-      const ModuleResult r = scm::apply(obj_, ctx, m, init);
-      direct_ops_.fetch_add(1, std::memory_order_relaxed);
-      combine(ctx);
-      release_gate();
-      return r;
-    }
-
-    Slot& slot = slots_[claim(ctx, self)];
-    slot.request = m;
-    slot.has_init = init.has_value();
-    slot.init_value = init.value_or(SwitchValue{0});
-    ctx.on_write();
-    // The release publishes the plain writes above; pid rides in the
-    // word so a reclaimer knows whose publication this is.
-    slot.word.store(pack_slot(SlotState::kPending, self),
-                    std::memory_order_release);
-
-    while (slot_state_of(slot.word.load(std::memory_order_acquire)) !=
-           SlotState::kDone) {
-      if (may_combine && try_gate(ctx, self)) {
-        combine(ctx);  // serves at least our own pending slot
-        release_gate();
-        continue;
-      }
-      // Rung-3 wait on the segment's shared futex: a may_combine=false
-      // client under a descheduled server PARKS here instead of
-      // burning its timeslice against a gate nobody is serving — the
-      // serving combiner's release_gate() wake resumes it.
-      wait_until(
-          ctx,
-          [this, &slot, may_combine] {
-            return slot_state_of(slot.word.load(std::memory_order_relaxed)) ==
-                       SlotState::kDone ||
-                   (may_combine &&
-                    gate_.load(std::memory_order_relaxed) == 0);
-          },
-          futex_waiters_);
-    }
-    ctx.on_read();
-    const ModuleResult r = slot.result;
-    slot.word.store(pack_slot(SlotState::kFree, 0),
-                    std::memory_order_release);
-    // A freed record is what claim()'s exhaustion wait parks on.
-    futex_waiters_.wake_all();
-    return r;
+    const SlotCaller who{owner_of(ctx), may_combine ? 1u : 0u, may_combine};
+    return engine_.invoke(ctx, who, m, init);
   }
 
   // One combine pass if the gate is free right now; false when some
@@ -222,10 +152,7 @@ class ShmCombining {
   template <class Ctx>
     requires Composable<Obj, Ctx>
   bool try_serve(Ctx& ctx) {
-    if (!try_gate(ctx, owner_of(ctx))) return false;
-    combine(ctx);
-    release_gate();
-    return true;
+    return engine_.try_serve(ctx, owner_of(ctx));
   }
 
   // Combines until no publication is pending. Same contract as the
@@ -235,86 +162,32 @@ class ShmCombining {
   template <class Ctx>
     requires Composable<Obj, Ctx>
   void drain(Ctx& ctx) {
-    while (pending() != 0) {
-      if (try_serve(ctx)) continue;
-      wait_until(
-          ctx,
-          [this] {
-            return pending() == 0 ||
-                   gate_.load(std::memory_order_relaxed) == 0;
-          },
-          futex_waiters_);
-    }
+    engine_.drain(ctx, owner_of(ctx));
   }
 
-  // Published-but-unserved operations right now (acquire scan — there
-  // is no pending-count hint on purpose: a cached counter drifts
-  // permanently when the process that was about to decrement it dies).
+  // Published-but-unserved operations right now (acquire scan).
   [[nodiscard]] std::size_t pending() const noexcept {
-    return count_in_state(SlotState::kPending);
+    return engine_.pending();
   }
   // Records not currently kFree — the compose.shm gate checks this is
   // zero after the final drain + reclaim.
   [[nodiscard]] std::size_t occupied() const noexcept {
-    return kSlots - count_in_state(SlotState::kFree);
+    return engine_.occupied();
   }
 
-  // Sweeps the wreckage of dead processes: frees kClaimed and kDone
-  // slots whose owner fails the liveness probe, and steals the gate
-  // from a dead holder first (a dead combiner wedges everything).
-  // Runs the sweep UNDER the gate so it cannot race a live combiner's
-  // scan/writeback; if a LIVE process holds the gate there is nothing
-  // to reclaim safely and the sweep is skipped (returns 0 — call
-  // again later, the server loop does). Returns slots freed. The gate
-  // CAS and every free are counted RMWs, so under the simulator the
-  // sweep interleaves step by step with live publishers.
+  // Sweeps the wreckage of dead processes under the gate (see
+  // SlotEngine::reclaim_dead): frees kClaimed and kDone slots whose
+  // owner fails `alive`, stealing the gate from a dead holder first.
+  // Returns slots freed; 0 when a live process holds the gate. The
+  // gate CAS and every free are counted RMWs, so under the simulator
+  // the sweep interleaves step by step with live publishers.
   //
   // `alive(owner) -> bool` is injectable so tests can declare a live
   // helper process "dead" deterministically, and so simulated owners
   // (ctx.id() + 1, not pids) can be probed at all.
   template <class Ctx, class Alive>
   std::size_t reclaim_dead(Ctx& ctx, Alive&& alive) {
-    std::uint32_t holder = gate_.load(std::memory_order_acquire);
-    if (holder != 0 && alive(holder)) return 0;
-    // Take a free gate or steal it from the dead: the CAS fails if
-    // anyone else (a combiner, another reclaimer) got there first.
-    if (!gate_.compare_exchange_strong(holder, owner_of(ctx),
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-      return 0;
-    }
-    ctx.on_rmw();
-
-    std::size_t reclaimed = 0;
-    for (Slot& s : slots_) {
-      std::uint64_t w = s.word.load(std::memory_order_acquire);
-      const SlotState state = slot_state_of(w);
-      const std::uint32_t owner = slot_owner_of(w);
-      // kPending is deliberately exempt: the publication is complete,
-      // so the op executes on the next combine and the slot resurfaces
-      // here as a dead-owned kDone.
-      if (owner == 0 || state == SlotState::kFree ||
-          state == SlotState::kPending) {
-        continue;
-      }
-      if (alive(owner)) continue;
-      // Only the owner performs kClaimed->kPending and kDone->kFree,
-      // and the owner is dead; the gate excludes combiners. The CAS is
-      // belt-and-braces against a probe that raced the owner's death.
-      if (s.word.compare_exchange_strong(w, pack_slot(SlotState::kFree, 0),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-        ctx.on_rmw();
-        ++reclaimed;
-      }
-    }
-    // release_gate's wake doubles as the orphan sweep-up: live waiters
-    // parked against state a DEAD process was supposed to change
-    // (claim() waiting on records the corpse held, publishers waiting
-    // on a gate it wedged) re-check their predicates against the swept
-    // slots and the freed gate instead of sleeping forever.
-    release_gate();
-    return reclaimed;
+    return engine_.reclaim_dead(ctx, owner_of(ctx), std::forward<Alive>(alive));
   }
 
   // The native sweep, probing each owner pid with kill(pid, 0).
@@ -327,23 +200,23 @@ class ShmCombining {
 
   // Owner id of the current combiner (0 = gate free).
   [[nodiscard]] std::uint32_t gate_holder() const noexcept {
-    return gate_.load(std::memory_order_acquire);
+    return engine_.gate_holder();
   }
 
-  [[nodiscard]] Obj& object() noexcept { return obj_; }
-  [[nodiscard]] const Obj& object() const noexcept { return obj_; }
+  [[nodiscard]] Obj& object() noexcept { return engine_.object(); }
+  [[nodiscard]] const Obj& object() const noexcept { return engine_.object(); }
 
   // ---- combining telemetry (this process's mapping is shared, so
   // these aggregate over ALL participating processes).
 
   [[nodiscard]] std::uint64_t combine_rounds() const noexcept {
-    return rounds_.load(std::memory_order_relaxed);
+    return engine_.combine_rounds();
   }
   [[nodiscard]] std::uint64_t combined_ops() const noexcept {
-    return batched_ops_.load(std::memory_order_relaxed);
+    return engine_.combined_ops();
   }
   [[nodiscard]] std::uint64_t direct_ops() const noexcept {
-    return direct_ops_.load(std::memory_order_relaxed);
+    return engine_.direct_ops();
   }
 
   // Park/wake telemetry from the segment-resident WaitPoint. The
@@ -352,7 +225,7 @@ class ShmCombining {
   // that parked against a stalled server shows up in the server's
   // readout (compose.shm gates on exactly that).
   [[nodiscard]] ParkStats park_stats() const noexcept {
-    return futex_waiters_.stats();
+    return engine_.wait_point().stats();
   }
 
  private:
@@ -370,135 +243,7 @@ class ShmCombining {
     }
   }
 
-  // Gate = combiner election word holding the OWNER'S PID (0 = free),
-  // the cross-process analogue of the in-process TAS bool — the pid is
-  // what lets reclaim_dead distinguish "busy" from "wedged by a
-  // corpse".
-  template <class Ctx>
-  bool try_gate(Ctx& ctx, std::uint32_t self) {
-    std::uint32_t expected = 0;
-    if (gate_.load(std::memory_order_relaxed) == 0 &&
-        gate_.compare_exchange_strong(expected, self,
-                                      std::memory_order_acquire,
-                                      std::memory_order_relaxed)) {
-      ctx.on_rmw();
-      return true;
-    }
-    return false;
-  }
-  void release_gate() noexcept {
-    gate_.store(0, std::memory_order_release);
-    // One batched wake per combine pass / gate handover: kDone slots,
-    // gate-waiters, and drain()ers all re-check off this single call.
-    // Uncontended cost: a fence + one relaxed load, no syscall.
-    futex_waiters_.wake_all();
-  }
-
-  // Claims a free record, rotating from an owner-derived hint; blocks
-  // (paced) while the array is exhausted — slot holders are publishers
-  // mid-round-trip, and each round trip completes in bounded time once
-  // a combiner runs. The ownership stamp rides in the claim CAS itself,
-  // the indivisibility reclaim_dead depends on and exactly what the
-  // seeded mutation (kMutateDropOwnerStamp) severs.
-  template <class Ctx>
-  std::size_t claim(Ctx& ctx, std::uint32_t self) {
-    const std::uint32_t stamp = kMutateDropOwnerStamp ? 0 : self;
-    const std::size_t hint = static_cast<std::size_t>(self) % kSlots;
-    for (;;) {
-      for (std::size_t k = 0; k < kSlots; ++k) {
-        const std::size_t idx =
-            hint + k < kSlots ? hint + k : hint + k - kSlots;
-        Slot& slot = slots_[idx];
-        std::uint64_t expected = pack_slot(SlotState::kFree, 0);
-        if (slot.word.load(std::memory_order_relaxed) == expected &&
-            slot.word.compare_exchange_strong(
-                expected, pack_slot(SlotState::kClaimed, stamp),
-                std::memory_order_acquire, std::memory_order_relaxed)) {
-          ctx.on_rmw();
-          return idx;
-        }
-      }
-      // Array exhausted: park until some record frees — a publisher's
-      // collect, or reclaim_dead() sweeping a corpse's records (its
-      // release_gate wake is what un-parks us after a SIGKILL).
-      wait_until(
-          ctx,
-          [this] {
-            for (const Slot& s : slots_) {
-              if (slot_state_of(s.word.load(std::memory_order_relaxed)) ==
-                  SlotState::kFree) {
-                return true;
-              }
-            }
-            return false;
-          },
-          futex_waiters_);
-    }
-  }
-
-  // One combiner pass (pre: gate held by this process): snapshot the
-  // pending slots into a process-LOCAL batch, drive it through the
-  // shared run_batch dispatch, publish results back. The local batch
-  // is why a combiner crash mid-pass is unrecoverable — and why
-  // crash-exposed processes publish with may_combine = false.
-  template <class Ctx>
-  void combine(Ctx& ctx) {
-    std::array<OpSlot, kSlots> batch;
-    std::array<std::size_t, kSlots> source{};
-    std::array<std::uint32_t, kSlots> publisher{};
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < kSlots; ++i) {
-      Slot& s = slots_[i];
-      const std::uint64_t w = s.word.load(std::memory_order_acquire);
-      if (slot_state_of(w) != SlotState::kPending) continue;
-      ctx.on_read();
-      batch[n].request = s.request;
-      batch[n].init = s.has_init ? std::optional<SwitchValue>(s.init_value)
-                                 : std::nullopt;
-      batch[n].done = false;
-      batch[n].completion = OpCompletion::kAttached;
-      source[n] = i;
-      publisher[n] = slot_owner_of(w);
-      ++n;
-    }
-    if (n == 0) return;
-
-    run_batch(obj_, ctx, std::span<OpSlot>(batch.data(), n));
-
-    for (std::size_t i = 0; i < n; ++i) {
-      Slot& s = slots_[source[i]];
-      s.result = batch[i].result;
-      ctx.on_write();
-      // Preserve the publisher's pid: if it died waiting, its name on
-      // the kDone slot is what makes the record reclaimable.
-      s.word.store(pack_slot(SlotState::kDone, publisher[i]),
-                   std::memory_order_release);
-    }
-    rounds_.fetch_add(1, std::memory_order_relaxed);
-    batched_ops_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] std::size_t count_in_state(SlotState state) const noexcept {
-    std::size_t n = 0;
-    for (const Slot& s : slots_) {
-      if (slot_state_of(s.word.load(std::memory_order_acquire)) == state) {
-        ++n;
-      }
-    }
-    return n;
-  }
-
-  std::array<Slot, kSlots> slots_{};
-  alignas(kCacheLineSize) std::atomic<std::uint32_t> gate_{0};
-  // Rung-3 parking for every wait loop above. kShared scope: the futex
-  // word lives in the segment, so FUTEX_WAIT/FUTEX_WAKE must key on
-  // the physical page (no FUTEX_PRIVATE_FLAG) — each process maps it
-  // at a different virtual address.
-  alignas(kCacheLineSize) WaitPoint<FutexScope::kShared> futex_waiters_{};
-  alignas(kCacheLineSize) std::atomic<std::uint64_t> rounds_{0};
-  std::atomic<std::uint64_t> batched_ops_{0};
-  std::atomic<std::uint64_t> direct_ops_{0};
-  alignas(kCacheLineSize) Obj obj_{};
+  Engine engine_;
 };
 
 // A class template cannot assert on itself from inside its own
@@ -514,6 +259,8 @@ struct ShmLayoutProbe {
 };
 }  // namespace detail
 SCM_ASSERT_ADDRESS_FREE(detail::ShmLayoutProbe);
+SCM_ASSERT_ADDRESS_FREE(
+    SlotEngine<detail::ShmLayoutProbe, 2, FutexScope::kShared, NoSlotPayload>);
 SCM_ASSERT_ADDRESS_FREE(ShmCombining<detail::ShmLayoutProbe, 2>);
 
 }  // namespace scm

@@ -4,11 +4,9 @@
 // coherence is not flat: two threads sharing an L3 slice exchange a
 // line in tens of nanoseconds, two threads on different packages pay a
 // cross-socket round trip several times that. The sharding and
-// combining layers can exploit the difference — route operations so
-// that threads of one domain hit one shard (ByDomain in
-// core/sharding.hpp) and pin workers so domains fill compactly or
-// interleave (workload::set_pin_workers) — but only if somebody tells
-// them where the domain boundaries are. This header does exactly that,
+// combining layers can exploit the difference — pin workers so
+// domains fill compactly or interleave (workload::set_pin_workers) —
+// but only if somebody tells them where the domain boundaries are. This header does exactly that,
 // once, from /sys/devices/system/cpu:
 //
 //   cpu<N>/cache/index3/shared_cpu_list   — L3 sharing domains (best
@@ -33,10 +31,6 @@
 #include <string>
 #include <thread>
 #include <vector>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 namespace scm {
 
@@ -164,29 +158,5 @@ struct CpuTopology {
     return line;
   }
 };
-
-// The calling thread's current CPU, -1 where the platform cannot say.
-inline int current_cpu() noexcept {
-#if defined(__linux__)
-  return ::sched_getcpu();
-#else
-  return -1;
-#endif
-}
-
-// The calling thread's current topology domain. Cached per thread and
-// refreshed every 256 calls: pinned workers never migrate (the cache
-// is exact), unpinned ones drift rarely enough that a slightly stale
-// domain only costs routing quality, never correctness.
-inline int current_domain() noexcept {
-  thread_local int cached = -1;
-  thread_local int age = 0;
-  if (cached < 0 || ++age >= 256) {
-    age = 0;
-    const int cpu = current_cpu();
-    cached = cpu >= 0 ? CpuTopology::system().domain_of(cpu) : 0;
-  }
-  return cached;
-}
 
 }  // namespace scm

@@ -44,7 +44,7 @@ namespace scm::workload {
 //   kSequential  worker t -> t-th allowed CPU (the historical --pin).
 //   kCompact     allowed CPUs ordered domain-by-domain: one L3/NUMA
 //                domain fills completely before the next is touched —
-//                maximum sharing, the ByDomain-friendly placement.
+//                maximum sharing, the cache-affine placement.
 //   kSpread      one CPU per domain in round-robin — maximum
 //                aggregate cache, the bandwidth-friendly placement.
 //

@@ -78,7 +78,7 @@ Request inc_req(std::uint64_t id, ProcessId p) {
   return Request{id, p, CounterSpec::kFetchInc, 0};
 }
 
-using CombStack = Combining<CounterModule, 8, ByThread>;
+using CombStack = Combining<CounterModule, 8>;
 using ShardStack = Sharded<CombStack, 4, ByThread>;
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@
 //
 //  * Composable concept + scm::apply(): module-shaped and chain-shaped
 //    objects both dispatch through the one entry point;
-//  * ReadOnlyOps classification;
 //  * a solo caller's cached results are bit-identical to the bare
 //    object's, hit path included;
 //  * the staleness bound: 0 is linearizable (a post-write read misses
@@ -98,8 +97,7 @@ Request inc_req(std::uint64_t id, ProcessId p) {
   return Request{id, p, CounterSpec::kFetchInc, 0};
 }
 
-using CachedCounter = Cached<Combining<CounterModule, 8, ByThread>,
-                             CounterModel>;
+using CachedCounter = Cached<Combining<CounterModule, 8>, CounterModel>;
 
 // Parks a write to kv_gate_key() inside the object until the gate
 // opens — the deterministic way to keep the combiner lock held while a
@@ -182,7 +180,7 @@ std::array<std::uint64_t, 2> colliding_keys() {
 }
 
 template <std::size_t kReplicas, std::size_t kRecs = 32>
-using CachedKv = Replicated<Combining<KvModule, 8, ByThread>, kReplicas,
+using CachedKv = Replicated<Combining<KvModule, 8>, kReplicas,
                             KvModel, ByThread, 64, kRecs>;
 
 // ---------------------------------------------------------------------------
@@ -205,8 +203,7 @@ static_assert(ChainShaped<ChainStub, NativeContext>);
 static_assert(!ModuleShaped<ChainStub, NativeContext>);
 static_assert(Composable<CounterModule, NativeContext>);
 static_assert(Composable<ChainStub, NativeContext>);
-static_assert(Composable<Combining<CounterModule, 8, ByThread>,
-                         NativeContext>);
+static_assert(Composable<Combining<CounterModule, 8>, NativeContext>);
 static_assert(Composable<CachedCounter, NativeContext>);
 
 TEST(ComposableSurface, ApplyDispatchesModuleShaped) {
@@ -223,20 +220,6 @@ TEST(ComposableSurface, ApplyDispatchesChainShaped) {
       scm::apply(chain, ctx, Request{1, 0, 0, 21});
   EXPECT_TRUE(r.committed());
   EXPECT_EQ(r.response, 42);
-}
-
-TEST(ComposableSurface, ReadOnlyOpsClassifies) {
-  using Reads = ReadOnlyOps<CounterSpec::kRead>;
-  static_assert(ReadOnlyClassifier<Reads>);
-  EXPECT_TRUE(Reads::is_read_only(CounterSpec::kRead));
-  EXPECT_FALSE(Reads::is_read_only(CounterSpec::kFetchInc));
-  EXPECT_TRUE(Reads::is_read_only(read_req(1, 0)));
-  EXPECT_FALSE(Reads::is_read_only(inc_req(1, 0)));
-
-  using Multi = ReadOnlyOps<3, 5>;
-  EXPECT_TRUE(Multi::is_read_only(3));
-  EXPECT_TRUE(Multi::is_read_only(5));
-  EXPECT_FALSE(Multi::is_read_only(4));
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +249,7 @@ TEST(Cached, SoloResultsMatchBareObjectIncludingHits) {
 // Staleness bound semantics
 
 TEST(Cached, BoundZeroIsLinearizableBoundKServesStale) {
-  Cached<Combining<CounterModule, 8, ByThread>, NoRefillModel> cached;
+  Cached<Combining<CounterModule, 8>, NoRefillModel> cached;
   NativeContext ctx(0);
 
   // Fill: the first read misses and installs 0 at generation 0.
@@ -338,8 +321,7 @@ TEST(Cached, ConcurrentMixedHistoriesLinearizeAgainstCounterSpec) {
   constexpr std::uint64_t kOps = 5;
 
   for (int round = 0; round < 10; ++round) {
-    Replicated<Combining<CounterModule, 8, ByThread>, 2, CounterModel>
-        cached;
+    Replicated<Combining<CounterModule, 8>, 2, CounterModel> cached;
     std::atomic<std::uint64_t> clock{0};
     struct Recorded {
       Response response = 0;
@@ -397,7 +379,7 @@ TEST(Replicated, InvalidationStormKeepsGenerationExactAndReadsMonotone) {
   constexpr int kThreads = 4;
   constexpr std::uint64_t kOps = 512;
 
-  Replicated<Combining<CounterModule, 8, ByThread>, 2, CounterModel> cached;
+  Replicated<Combining<CounterModule, 8>, 2, CounterModel> cached;
   std::atomic<std::uint64_t> writes{0};
   std::atomic<std::uint64_t> monotonicity_violations{0};
   std::atomic<std::uint64_t> overshoots{0};
@@ -442,7 +424,7 @@ TEST(Replicated, InvalidationStormKeepsGenerationExactAndReadsMonotone) {
 // Replica isolation
 
 TEST(Replicated, WritesInvalidateEveryReplica) {
-  Replicated<Combining<CounterModule, 8, ByThread>, 4, CounterModel> cached;
+  Replicated<Combining<CounterModule, 8>, 4, CounterModel> cached;
 
   // Fill each replica's entry from a differently-bound context.
   for (ProcessId p = 0; p < 4; ++p) {

@@ -3,7 +3,7 @@
 // Abstract chain.
 //
 //  * depth-1/2/4 pipelines produce bit-identical commit/abort results
-//    to the legacy nested Composed combinator across random schedules;
+//    to a nested binary reference combinator across random schedules;
 //  * the consensus-number fold and the ComposableModule concept hold
 //    statically (and the pipeline type is non-polymorphic — there is
 //    no virtual dispatch to pay for);
@@ -14,6 +14,7 @@
 //  * StaticAbstractChain matches the type-erased UniversalChain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <type_traits>
@@ -98,7 +99,32 @@ TEST(Pipeline, ConsensusNumberFoldAndConceptConformance) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence with the legacy nested Composed combinator
+// Equivalence with a nested binary reference combinator
+
+// The reference the pipeline is checked against: run A; on abort, run
+// B initialized with A's switch value — the paper's composition
+// operator written as plainly as possible. Nesting it gives chains of
+// any depth; its consensus number is the maximum over the components.
+template <class A, class B>
+class Composed {
+ public:
+  static constexpr int kConsensusNumber =
+      std::max(A::kConsensusNumber, B::kConsensusNumber);
+
+  Composed(A& a, B& b) noexcept : a_(a), b_(b) {}
+
+  template <class Ctx>
+  ModuleResult invoke(Ctx& ctx, const Request& r,
+                      std::optional<SwitchValue> init = std::nullopt) {
+    const ModuleResult first = a_.invoke(ctx, r, init);
+    if (first.committed()) return first;
+    return b_.invoke(ctx, r, first.switch_value);
+  }
+
+ private:
+  A& a_;
+  B& b_;
+};
 
 struct RunOutcome {
   std::vector<ModuleResult> results;
@@ -151,12 +177,6 @@ TEST(Pipeline, Depth1MatchesBareModule) {
   }
 }
 
-// Composed is deprecated in favour of make_pipeline + scm::apply, but
-// it is precisely the reference combinator these equivalence tests
-// exist to compare against — suppress the deprecation locally.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
 TEST(Pipeline, Depth2MatchesNestedComposed) {
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     A1 ca1;
@@ -191,8 +211,6 @@ TEST(Pipeline, Depth4MatchesNestedComposed) {
     expect_same(expect, got, seed);
   }
 }
-
-#pragma GCC diagnostic pop
 
 // ---------------------------------------------------------------------------
 // Per-stage statistics

@@ -1,18 +1,19 @@
-// Exhaustive model checking of the publication-slot protocol
-// (core/slot_protocol.hpp) on the code that ships: the owner-tagged
-// cross-process engine ShmCombining (shm/shm_combining.hpp) and the
-// in-process Combining (core/combining.hpp), both driven directly
-// under the deterministic simulator.
+// Exhaustive model checking of the publication-slot protocol on the
+// code that ships: SlotEngine (core/slot_protocol.hpp), driven through
+// both of its wrappers — the in-process Combining (core/combining.hpp)
+// and the cross-process ShmCombining (shm/shm_combining.hpp) — under
+// the deterministic simulator.
 //
 // Every test here drives the protocol through sim::explore over ALL
 // interleavings of its processes (stats.exhausted is asserted, so a
 // silently truncated search fails the suite) and checks:
 //
 //  * linearizability: the served fetch&inc history linearizes against
-//    CounterSpec in every interleaving ({2 procs x 2 slots} and
-//    {3 procs x 2 slots}, the latter forcing slot exhaustion);
+//    CounterSpec in every interleaving ({2 procs x 2 slots},
+//    {3 procs x 2 slots}, and {3 procs x 1 slot}, which exhausts the
+//    slot array);
 //  * residue: after every run the slot array is all-kFree (so nothing
-//    is left pending) and the ShmCombining gate is released;
+//    is left pending) and the gate is released, for both wrappers;
 //  * tree size: the run counts are pinned exactly, so a scheduling
 //    point lost from or added to the shipped code fails the suite;
 //  * crash-reclaim, with deaths as the simulator's own crash faults: a
@@ -24,7 +25,7 @@
 //    publishing (or, as combiner, before reaching the object); nothing
 //    is left occupied and the gate is free. The
 //    seeded mutation (SCM_MUTATE_SLOT_PROTOCOL drops the claim's
-//    ownership stamp in ShmCombining::claim) breaks the publisher
+//    ownership stamp in SlotEngine::claim) breaks the publisher
 //    sweep, and the slot_mutation_catch CTest entry recompiles this
 //    file with the mutation and expects that sweep's "not swept"
 //    failure.
@@ -132,13 +133,11 @@ void explore_invokes(int procs, std::uint64_t expected_runs,
         ASSERT_TRUE(linearizable<CounterSpec>(history_of(sim)))
             << "non-linearizable interleaving at run " << runs;
         // Residue: all ops executed, every record recycled (so nothing
-        // is left pending), and a gate with an owner word is released.
+        // is left pending), and the gate is released.
         ASSERT_EQ(engine->object().count(),
                   static_cast<std::uint64_t>(procs));
         ASSERT_EQ(engine->occupied(), 0u);
-        if constexpr (requires { engine->gate_holder(); }) {
-          ASSERT_EQ(engine->gate_holder(), 0u);
-        }
+        ASSERT_EQ(engine->gate_holder(), 0u);
       });
   // The FULL tree was enumerated (a truncated search would be a silent
   // downgrade from "verified" to "sampled"), and its size is exactly
@@ -151,18 +150,20 @@ void explore_invokes(int procs, std::uint64_t expected_runs,
 }
 
 // The in-process wrapper at both election settings. elect_spins 1 is
-// the TAS fast path (most schedules never publish); elect_spins 0 is
+// the direct fast path (most schedules never publish), and drives the
+// engine exactly as ShmCombining's default invoke does, so its tree
+// equals the 2-process ShmCombining tree below; elect_spins 0 is
 // publish-and-batch, where every op takes the full publication round
 // trip and the tree is correspondingly larger.
 TEST(SlotProtocolExplore, InProcessCombiningElectSpins1) {
   using Engine = Combining<TicketModule, 2>;
-  explore_invokes<Engine>(/*procs=*/2, /*expected_runs=*/30,
+  explore_invokes<Engine>(/*procs=*/2, /*expected_runs=*/20,
                           [](Engine& c) { c.set_elect_spins(1); });
 }
 
 TEST(SlotProtocolExplore, InProcessCombiningElectSpins0) {
   using Engine = Combining<TicketModule, 2>;
-  explore_invokes<Engine>(/*procs=*/2, /*expected_runs=*/6'151,
+  explore_invokes<Engine>(/*procs=*/2, /*expected_runs=*/1'448,
                           [](Engine& c) { c.set_elect_spins(0); });
 }
 
@@ -171,17 +172,27 @@ TEST(SlotProtocolExplore, InProcessCombiningElectSpins0) {
 // The trees are smaller than a naive step count suggests: failed gate
 // pre-tests and the publisher's final kFree store are uncounted, so
 // only schedules that differ in a COUNTED access are distinct leaves
-// (the soundness argument lives in core/combining.hpp's platform note).
+// (the soundness argument lives in core/slot_protocol.hpp's header).
 TEST(SlotProtocolExplore, TwoProcsTwoSlotsLinearizableNoResidue) {
   explore_invokes<ShmCombining<TicketModule, 2>>(/*procs=*/2,
                                                  /*expected_runs=*/20);
 }
 
-// Three processes through two slots: some interleavings exhaust the
-// slot array, exercising the claim-wait path and recycle-then-claim.
+// Three processes through two slots: one runs directly while the
+// other two publish, so both records are in use while the wait loops
+// hand the gate around. The array is never exhausted here: the first
+// process to run always finds the gate free and takes no record.
 TEST(SlotProtocolExplore, ThreeProcsTwoSlotsLinearizableNoResidue) {
   explore_invokes<ShmCombining<TicketModule, 2>>(/*procs=*/3,
-                                                 /*expected_runs=*/118'886);
+                                                 /*expected_runs=*/117'712);
+}
+
+// Three processes through ONE slot: many schedules exhaust the array,
+// exercising the claim's fallback — run inline under the gate, or park
+// until the record or the gate frees — and recycle-then-claim.
+TEST(SlotProtocolExplore, ThreeProcsOneSlotExhaustsTheArray) {
+  explore_invokes<ShmCombining<TicketModule, 1>>(/*procs=*/3,
+                                                 /*expected_runs=*/3'252);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@
 //    holding every CPU — the shape that makes every domain-aware
 //    policy coincide with its domain-oblivious counterpart;
 //  * domain_of() answers 0 for CPUs the detection never saw;
-//  * current_domain() on the real machine is a valid index into the
-//    real detection.
+//  * on the real machine every online CPU maps to a valid domain.
 #include "support/topology.hpp"
 
 #include <gtest/gtest.h>
@@ -24,6 +23,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace scm {
@@ -143,13 +143,16 @@ TEST(CpuTopology, MixedKeysStayDistinct) {
 }
 
 // The real machine: whatever sysfs says, the answers must be
-// internally consistent — current_domain() indexes into system().
-TEST(CpuTopology, CurrentDomainIndexesTheSystemTopology) {
+// internally consistent — every CPU maps into system()'s domains.
+TEST(CpuTopology, SystemTopologyMapsEveryCpuToADomain) {
   const CpuTopology& topo = CpuTopology::system();
   ASSERT_GE(topo.domain_count(), 1);
-  const int d = current_domain();
-  EXPECT_GE(d, 0);
-  EXPECT_LT(d, topo.domain_count());
+  const int cpus = static_cast<int>(std::thread::hardware_concurrency());
+  for (int cpu = 0; cpu < cpus; ++cpu) {
+    const int d = topo.domain_of(cpu);
+    EXPECT_GE(d, 0) << "cpu " << cpu;
+    EXPECT_LT(d, topo.domain_count()) << "cpu " << cpu;
+  }
 }
 
 }  // namespace

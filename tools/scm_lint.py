@@ -18,10 +18,11 @@ RULE 1: explicit memory orders (src/**).
   Escape hatch: `// scm-lint: default-order-ok` on the call's first
   line.
 
-RULE 2: address-free shm layer (src/shm/**).
+RULE 2: address-free segment layout (src/shm/** and
+        src/core/slot_protocol.hpp, the slot engine a segment holds).
   The shared segment maps at a different virtual address in every
   process, so segment-resident types must carry no process-local
-  addresses. Every struct/class defined under src/shm/ must either:
+  addresses. Every struct/class defined in those files must either:
     * be annotated `// scm-lint: process-local` in the comment block
       right above it (handle types: ShmArena, LockGuard), or
     * contain no pointer/reference/virtual/owning-container members
@@ -29,13 +30,16 @@ RULE 2: address-free shm layer (src/shm/**).
       under src/ (the macro pins what the traits can check; this rule
       pins the rest and that the macro is actually applied).
 
-RULE 3: cross-process futex words (src/shm/**).
+RULE 3: cross-process futex words (same files as RULE 2).
   futex(2) compares exactly 4 bytes at the given address, and a
   process-private futex keys on the mapping's virtual address — both
   mistakes compile silently and fail only under contention. So every
   member whose name starts with `futex` in a segment-resident type
   must be either:
-    * a WaitPoint<FutexScope::kShared, ...> (support/parking.hpp), or
+    * a WaitPoint<FutexScope::kShared, ...> (support/parking.hpp),
+    * a WaitPoint whose scope is the enclosing template's parameter
+      (the slot engine's), provided every instantiation of that
+      template under src/shm/ names FutexScope::kShared, or
     * a bare 4-byte-aligned std::atomic<std::uint32_t>,
   and its enclosing type must be covered by SCM_ASSERT_ADDRESS_FREE
   (types annotated `// scm-lint: process-local` are exempt — they
@@ -260,7 +264,19 @@ STRUCT_RE = re.compile(
     r"\b(struct|class)\s+(?:alignas\s*\([^)]*\)\s*)?([A-Za-z_]\w*)"
     r"(?:\s+final)?\s*(?::[^{;]*)?\{"
 )
+ENUM_BEFORE_RE = re.compile(r"\benum\s*$")
 PROCESS_LOCAL_MARK = "scm-lint: process-local"
+# Files outside src/shm/ whose types live in the segment too.
+SEGMENT_FILES = (os.path.join("core", "slot_protocol.hpp"),)
+
+
+def segment_types(text: str):
+    """Yields (match, name) for each struct/class definition in text,
+    skipping scoped enums (`enum class E : T {` is not a class)."""
+    for m in STRUCT_RE.finditer(text):
+        if ENUM_BEFORE_RE.search(text[max(0, m.start() - 16):m.start()]):
+            continue
+        yield m, m.group(2)
 MACRO_NAME = "SCM_ASSERT_ADDRESS_FREE"
 # Member declarations that smuggle process-local addresses into the
 # segment. Scanned only on paren-free lines ending in ';' (plain member
@@ -309,8 +325,7 @@ def is_annotated(raw: str, text: str, def_start: int) -> bool:
 def check_shm_layout(path: str, raw: str, macro_corpus: str) -> list[Finding]:
     text = strip_comments(raw)
     findings = []
-    for m in STRUCT_RE.finditer(text):
-        name = m.group(2)
+    for m, name in segment_types(text):
         open_brace = text.index("{", m.start())
         end = body_end(text, open_brace)
         if is_annotated(raw, text, m.start()):
@@ -351,7 +366,7 @@ def check_shm_layout(path: str, raw: str, macro_corpus: str) -> list[Finding]:
         if not macro_covers(name, macro_corpus):
             findings.append(
                 Finding(path, line_of(text, m.start()), "address-free",
-                        f"'{name}' is defined under src/shm/ but never "
+                        f"'{name}' is segment-resident but never "
                         f"covered by {MACRO_NAME} (or annotate it "
                         "process-local)"))
     return findings
@@ -373,17 +388,33 @@ FUTEX_WAITPOINT_RE = re.compile(r"\bWaitPoint\s*<")
 FUTEX_SHARED_RE = re.compile(
     r"\bWaitPoint\s*<\s*(?:scm::)?FutexScope::kShared\b")
 FUTEX_ATOMIC32_RE = re.compile(r"\bstd::atomic\s*<\s*(?:std::)?uint32_t\s*>")
+# A WaitPoint whose scope is a bare identifier: a template parameter.
+FUTEX_DEPENDENT_RE = re.compile(r"\bWaitPoint\s*<\s*([A-Za-z_]\w*)\s*[,>]")
+
+
+def instantiations(name: str, corpus: str) -> list[str]:
+    """Argument lists of every `name<...>` template-id in corpus."""
+    out = []
+    for m in re.finditer(r"\b" + re.escape(name) + r"\s*<", corpus):
+        depth, i = 1, m.end()
+        while i < len(corpus) and depth:
+            depth += {"<": 1, ">": -1}.get(corpus[i], 0)
+            i += 1
+        out.append(corpus[m.end():i - 1])
+    return out
 ALIGNAS_RE = re.compile(r"\balignas\s*\([^)]*\)")
 
 
-def check_shm_futex(path: str, raw: str, macro_corpus: str) -> list[Finding]:
-    """Flags futex-word members under src/shm/ that the kernel (or a
-    second process) would silently misread: wrong width, private scope,
-    or a containing type nobody asserted address-free."""
+def check_shm_futex(path: str, raw: str, macro_corpus: str,
+                    shm_corpus: str = "") -> list[Finding]:
+    """Flags futex-word members of segment-resident types that the
+    kernel (or a second process) would silently misread: wrong width,
+    private scope, or a containing type nobody asserted address-free.
+    shm_corpus is the comment-stripped text of src/shm/, where a
+    template with a dependent-scope WaitPoint is instantiated."""
     text = strip_comments(raw)
     findings = []
-    for m in STRUCT_RE.finditer(text):
-        name = m.group(2)
+    for m, name in segment_types(text):
         open_brace = text.index("{", m.start())
         end = body_end(text, open_brace)
         if is_annotated(raw, text, m.start()):
@@ -408,7 +439,18 @@ def check_shm_futex(path: str, raw: str, macro_corpus: str) -> list[Finding]:
             if "(" in sans_alignas or not FUTEX_DECL_RE.search(sans_alignas):
                 continue
             has_futex_member = True
-            if FUTEX_WAITPOINT_RE.search(sans_alignas):
+            dependent = FUTEX_DEPENDENT_RE.search(sans_alignas)
+            if dependent and dependent.group(1) != "FutexScope":
+                for args in instantiations(name, shm_corpus):
+                    if "FutexScope::kShared" in args:
+                        continue
+                    findings.append(
+                        Finding(path, lineno, "futex-word",
+                                f"'{name}': its WaitPoint scope is a "
+                                "template parameter, and src/shm/ "
+                                f"instantiates {name}<{' '.join(args.split())}> "
+                                "without FutexScope::kShared"))
+            elif FUTEX_WAITPOINT_RE.search(sans_alignas):
                 if not FUTEX_SHARED_RE.search(sans_alignas):
                     findings.append(
                         Finding(path, lineno, "futex-word",
@@ -446,6 +488,22 @@ def collect(root: str) -> list[str]:
     return sorted(paths)
 
 
+def is_segment_file(rel: str) -> bool:
+    """rel is a path relative to the src root."""
+    return rel.startswith("shm" + os.sep) or rel in SEGMENT_FILES
+
+
+def lint_file(rel: str, path: str, raw: str, macro_corpus: str,
+              shm_corpus: str) -> list[Finding]:
+    findings = check_memory_orders(path, raw)
+    if is_segment_file(rel):
+        findings.extend(check_shm_layout(path, raw, macro_corpus))
+        findings.extend(check_shm_futex(path, raw, macro_corpus, shm_corpus))
+    if rel == os.path.join("core", "adaptive.hpp"):
+        findings.extend(check_adaptive_hot_reads(path, raw))
+    return findings
+
+
 def run_lint(src_root: str) -> list[Finding]:
     paths = collect(src_root)
     if not paths:
@@ -453,19 +511,17 @@ def run_lint(src_root: str) -> list[Finding]:
         sys.exit(2)
     # The macro may be applied in a different file than the definition;
     # coverage is checked against the whole scanned tree.
-    macro_corpus = "\n".join(
-        strip_comments(open(p, encoding="utf-8").read()) for p in paths)
+    stripped = {p: strip_comments(open(p, encoding="utf-8").read())
+                for p in paths}
+    macro_corpus = "\n".join(stripped.values())
+    shm_corpus = "\n".join(
+        text for p, text in stripped.items()
+        if os.path.relpath(p, src_root).startswith("shm" + os.sep))
     findings: list[Finding] = []
-    shm_prefix = os.path.join(src_root, "shm") + os.sep
-    adaptive_suffix = os.path.join("core", "adaptive.hpp")
     for p in paths:
         raw = open(p, encoding="utf-8").read()
-        findings.extend(check_memory_orders(p, raw))
-        if p.startswith(shm_prefix):
-            findings.extend(check_shm_layout(p, raw, macro_corpus))
-            findings.extend(check_shm_futex(p, raw, macro_corpus))
-        if p.endswith(adaptive_suffix):
-            findings.extend(check_adaptive_hot_reads(p, raw))
+        findings.extend(lint_file(os.path.relpath(p, src_root), p, raw,
+                                  macro_corpus, shm_corpus))
     return findings
 
 
@@ -473,7 +529,7 @@ def run_lint(src_root: str) -> list[Finding]:
 # self-test: prove the rules have teeth before trusting a clean run
 
 SELF_TESTS = [
-    # (name, rule fn flag, snippet, is_shm, expected finding count)
+    # (name, rule fn flag, snippet, expected finding count)
     ("defaulted load flagged",
      "order", "void f() { x.load(); }", 1),
     ("defaulted multi-line store flagged",
@@ -569,6 +625,44 @@ SELF_TESTS = [
               "  void f() { futex_waiters_.wake_all(); }\n"
               "};\n"
               "SCM_ASSERT_ADDRESS_FREE(S);", 0),
+    # "engine": the snippet is linted as core/slot_protocol.hpp; a
+    # (engine, shm) pair supplies src/shm/'s instantiations too.
+    ("pointer member added to the engine slot flagged",
+     "engine", "template <class Payload> class SlotEngine {\n"
+               " public:\n"
+               "  struct alignas(64) Slot {\n"
+               "    std::atomic<std::uint64_t> word{0};\n"
+               "    void* user = nullptr;\n"
+               "  };\n"
+               "  SCM_ASSERT_ADDRESS_FREE(Slot);\n"
+               "};\n"
+               "SCM_ASSERT_ADDRESS_FREE(SlotEngine<int>);", 1),
+    ("engine slot without pointers passes",
+     "engine", "template <class Payload> class SlotEngine {\n"
+               " public:\n"
+               "  struct alignas(64) Slot {\n"
+               "    std::atomic<std::uint64_t> word{0};\n"
+               "    [[no_unique_address]] Payload payload{};\n"
+               "  };\n"
+               "  SCM_ASSERT_ADDRESS_FREE(Slot);\n"
+               "};\n"
+               "SCM_ASSERT_ADDRESS_FREE(SlotEngine<int>);", 0),
+    ("scoped enum in the engine file is not a class",
+     "engine", "enum class SlotState : std::uint32_t { kFree = 0 };", 0),
+    ("engine type without address-free coverage flagged",
+     "engine", "struct NoSlotPayload {};", 1),
+    ("dependent-scope engine WaitPoint instantiated kShared in shm passes",
+     "engine", ("template <FutexScope kScope> class SlotEngine {\n"
+                "  alignas(64) WaitPoint<kScope> futex_waiters_{};\n"
+                "};\n"
+                "SCM_ASSERT_ADDRESS_FREE(SlotEngine<FutexScope::kShared>);",
+                "using E = SlotEngine<FutexScope::kShared>;"), 0),
+    ("dependent-scope engine WaitPoint instantiated kPrivate in shm flagged",
+     "engine", ("template <FutexScope kScope> class SlotEngine {\n"
+                "  alignas(64) WaitPoint<kScope> futex_waiters_{};\n"
+                "};\n"
+                "SCM_ASSERT_ADDRESS_FREE(SlotEngine<FutexScope::kShared>);",
+                "using E = SlotEngine<FutexScope::kPrivate>;"), 1),
     ("acquire load in adaptive hot path flagged",
      "adaptive",
      "void f() { n_ = op_count_.load(std::memory_order_acquire); }", 1),
@@ -608,6 +702,11 @@ def self_test() -> int:
         elif rule == "futex":
             got = check_shm_futex("<self-test>", snippet,
                                   strip_comments(snippet))
+        elif rule == "engine":
+            engine, shm = snippet if isinstance(snippet, tuple) \
+                else (snippet, "")
+            got = lint_file(SEGMENT_FILES[0], "<self-test>", engine,
+                            strip_comments(engine), strip_comments(shm))
         else:
             got = check_shm_layout("<self-test>", snippet,
                                    strip_comments(snippet))
